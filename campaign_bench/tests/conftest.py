@@ -1,0 +1,9 @@
+"""Make the library sources importable when the benchmark's tests run."""
+
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
