@@ -71,7 +71,8 @@ def _op_events(op: Tuple[Any, ...],
                index: int = 0) -> List[Tuple[str, int, Any]]:
     """The ordered slot events of one op: ``(kind, slot, origin)``.
 
-    Mirrors the execution order of ``FlatSchedule._make_step`` exactly:
+    Mirrors the execution order of the op kernel table exactly
+    (``schedule_ir.SCALAR_KERNELS``, run by ``run_kernels``):
     run/expr ops read their input spec, write their outputs, then run
     their post-propagation copies pair by pair; copy ops interleave reads
     and writes pair by pair (fused chains are order-dependent).

@@ -8,11 +8,11 @@ gate skip counts, correction-barrier re-runs and (for the batch backend)
 scalar-fallback tick counts -- everything needed to answer *where do the
 ticks go* per backend.
 
-Profiles are recorded only by the **instrumented** step variants
-(``FlatSchedule.instrumented_step`` / the batch backend's profiled
-program loop); the default step functions never see this module, which is
-what keeps the zero-overhead-when-off contract structural rather than a
-promise about cheap branches.
+Profiles are recorded only by **instrumented** kernel tables
+(:func:`~repro.simulation.schedule_ir.profiled_kernels`, swapped in by the
+flat and batch backends); the default step functions never see this
+module, which is what keeps the zero-overhead-when-off contract
+structural rather than a promise about cheap branches.
 
 Like the metrics registry, profiles merge additively (same program shape
 required), so per-worker profiles from a sharded run aggregate into one.

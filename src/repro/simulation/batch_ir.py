@@ -9,17 +9,17 @@ scenarios; only the values differ.  This module widens each slot to a
 NumPy object array, and the whole battery advances through each tick with
 ONE pass over the op program.
 
-Op lowering (1:1 with the flat program, so gate jump targets carry over):
+Kernels (index-aligned with the flat program, so gate jump targets carry
+over; :func:`~repro.simulation.schedule_ir.run_kernels` drives them):
 
+* ``copy`` / ``buf_read`` / ``buf_write`` / ``gate`` -- the scalar kernels
+  unchanged: on lane rows a slot copy is a whole-row assignment, and a
+  clock depends on the tick only, so a silent one skips every lane;
 * ``expr``      -- expression closures are recompiled into lane-masked
-  ufunc chains (:mod:`repro.core.expr_batch`): one kernel call evaluates a
-  node for every active scenario, with ABSENT threaded through the object
+  ufunc chains (:mod:`repro.core.expr_batch`): one call evaluates a node
+  for every active scenario, with ABSENT threaded through the object
   lanes and short-circuit/conditional masks restricting evaluation to
   exactly the lanes the scalar engine would evaluate;
-* ``copy`` / ``buf_read`` / ``buf_write`` -- slot copies become whole-row
-  assignments;
-* ``gate``      -- clock predicates depend on the tick only, so a silent
-  clock skips the region for every lane at once;
 * ``run`` / ``correct`` -- nested-fallback leaves (MTDs, STDs, atomic
   blocks, unflattenable composites) and correction barriers keep their
   per-scenario step closures and loop over the active lanes only.
@@ -61,8 +61,9 @@ from ..core.values import ABSENT, Stream, is_absent
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
 from .engine import StimulusSpec, prepare_feeds
-from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
-                          OP_EXPR, OP_GATE, OP_RUN, FlatSchedule, FlatState)
+from .schedule_ir import (OP_CORRECT, OP_EXPR, OP_RUN, SCALAR_KERNELS,
+                          FlatSchedule, FlatState, Frame, Kernel,
+                          profiled_kernels, profiled_ticks, run_kernels)
 from .trace import SimulationTrace
 
 #: One battery item: ``(name, stimuli, ticks)``.
@@ -114,6 +115,82 @@ def _absent_plane(rows: int, lanes: int) -> np.ndarray:
     return plane
 
 
+class LaneFrame(Frame):
+    """A :class:`~repro.simulation.schedule_ir.Frame` over lane rows
+    (``[leaf][lane]`` states, a ``(buffer, lane)`` buffer plane) plus the
+    tick's active-lane mask and its indices."""
+
+    __slots__ = ("active", "indices")
+
+
+# -- lane kernels: the ops that compute rather than move ----------------------
+
+
+def _lane_run_kernel(op: Tuple[Any, ...]) -> Kernel:
+    _, leaf_index, fn, in_spec, out_spec, post, si = op
+
+    def run(values: np.ndarray, frame: LaneFrame) -> None:
+        tick = frame.tick
+        prev_row = frame.prev_states[leaf_index]
+        next_row = frame.next_states[leaf_index]
+        lane_inputs = None
+        if si >= 0:
+            lane_inputs = frame.scratch[si] = {}
+        for lane in frame.indices:
+            sub_inputs = {name: values[slot, lane] for name, slot in in_spec}
+            outputs, new_state = fn(sub_inputs, prev_row[lane], tick)
+            next_row[lane] = new_state
+            for name, slot in out_spec:
+                values[slot, lane] = outputs.get(name, ABSENT)
+            if lane_inputs is not None:
+                lane_inputs[lane] = sub_inputs
+        for src, dst in post:
+            values[dst] = values[src]
+
+    return run
+
+
+def _lane_expr_kernel(op: Tuple[Any, ...]) -> Kernel:
+    _, _leaf, in_spec, items, post = op
+
+    def expr(values: np.ndarray, frame: LaneFrame) -> None:
+        active = frame.active
+        env = {name: values[slot] for name, slot in in_spec}
+        for slot, fn in items:
+            if slot >= 0:
+                values[slot] = fn(env, active)
+            else:
+                fn(env, active)
+        for src, dst in post:
+            values[dst] = values[src]
+
+    return expr
+
+
+def _lane_correct_kernel(op: Tuple[Any, ...]) -> Kernel:
+    entries = op[1]
+
+    def correct(values: np.ndarray, frame: LaneFrame) -> None:
+        tick = frame.tick
+        for si, leaf_index, fn, in_spec in entries:
+            lane_inputs = frame.scratch[si]
+            prev_row = frame.prev_states[leaf_index]
+            next_row = frame.next_states[leaf_index]
+            for lane in frame.indices:
+                final = {name: values[slot, lane] for name, slot in in_spec}
+                if final != lane_inputs[lane]:
+                    _, corrected = fn(final, prev_row[lane], tick)
+                    next_row[lane] = corrected
+
+    return correct
+
+
+#: Opcode -> kernel factory for lane rows: copy / buffer / gate kernels
+#: move whole rows, so the scalar ones serve unchanged.
+LANE_KERNELS = {**SCALAR_KERNELS, OP_RUN: _lane_run_kernel,
+                OP_EXPR: _lane_expr_kernel, OP_CORRECT: _lane_correct_kernel}
+
+
 class BatchSchedule:
     """A :class:`~repro.simulation.schedule_ir.FlatSchedule` widened to
     execute whole scenario batteries as single vectorized sweeps."""
@@ -127,6 +204,7 @@ class BatchSchedule:
                         component=flat.component.name,
                         ops=len(flat.program)):
             self._program = self._lower(flat)
+            self._kernels = [LANE_KERNELS[op[0]](op) for op in self._program]
 
     def op_labels(self) -> List[Tuple[str, str, bool]]:
         """Op descriptors for :class:`repro.obs.profile.OpProfile` -- the
@@ -192,7 +270,7 @@ class BatchSchedule:
         registry, and -- under ``profile_ops`` -- the op program runs
         through a profiled variant feeding an op-level
         :class:`~repro.obs.profile.OpProfile`.  Disabled, the sweep binds
-        the uninstrumented program loop once and pays nothing per tick.
+        the plain kernel table once and pays nothing per tick.
         """
         telemetry = _obs_active()
         if telemetry is None:
@@ -231,9 +309,9 @@ class BatchSchedule:
                 horizons[index] = ticks
 
         input_names = component.input_names()
-        input_spec = flat._input_spec  # noqa: SLF001 - same-package IR access
-        output_spec = flat._output_spec  # noqa: SLF001
-        n_scratch = flat._scratch_count  # noqa: SLF001
+        input_spec = flat.input_spec
+        output_spec = flat.output_spec
+        n_scratch = flat._scratch_count  # noqa: SLF001 - same-package IR
         horizon = int(horizons.max())
 
         in_rows = {name: _absent_plane(horizon, lanes) for name in input_names}
@@ -282,15 +360,16 @@ class BatchSchedule:
             [{} for _ in range(lanes)] if collect_modes else None
 
         # telemetry: bound ONCE per sweep -- the disabled path binds the
-        # uninstrumented program loop and never consults the context again
+        # plain kernel table and never consults the context again
         profile = telemetry.profile_for(self) if telemetry is not None \
             else None
         registry = telemetry.registry if telemetry is not None else None
         if profile is None:
-            run_program = self._run_program
+            kernels, run = self._kernels, run_kernels
         else:
-            def run_program(*args: Any) -> None:
-                self._run_program_profiled(profile, *args)
+            kernels = profiled_kernels(self._program, LANE_KERNELS, profile,
+                                       time.perf_counter)
+            run = profiled_ticks(run_kernels, profile, time.perf_counter)
         vector_ticks = 0
         scalar_fallback_ticks = 0
         scalar_fallback_events = 0
@@ -306,19 +385,19 @@ class BatchSchedule:
                 values[slot] = in_rows[name][tick]
             next_states = [row[:] for row in states]
             next_buffers = buffers.copy()
-            scratch: List[Any] = [None] * n_scratch
+            frame = LaneFrame(None, tick, states, next_states, buffers,
+                              next_buffers, [None] * n_scratch)
+            frame.active, frame.indices = active, indices
             try:
-                run_program(values, active, indices, tick, states,
-                            next_states, buffers, next_buffers, scratch)
+                run(kernels, values, frame)
             except Exception:  # noqa: BLE001 - some lane needs the scalar path
                 scalar_fallback_events += 1
                 scalar_fallback_ticks += len(indices)
                 if profile is not None:
                     profile.scalar_fallback_ticks += len(indices)
-                self._scalar_tick(tick, indices, in_rows, out_rows, states,
-                                  next_states, buffers, next_buffers,
+                self._scalar_tick(tick, indices, frame, in_rows, out_rows,
                                   input_names, output_spec, live, errors,
-                                  exceptions, n_buffers)
+                                  exceptions)
             else:
                 vector_ticks += 1
                 for name, slot in output_spec:
@@ -386,189 +465,28 @@ class BatchSchedule:
                 else None))
         return outcomes
 
-    # -- one vectorized tick -----------------------------------------------
-
-    def _run_program(self, values: np.ndarray, active: np.ndarray,
-                     indices: List[int], tick: int,
-                     prev_states: List[List[Any]],
-                     next_states: List[List[Any]], prev_buffers: np.ndarray,
-                     next_buffers: np.ndarray, scratch: List[Any]) -> None:
-        """Advance every active lane by one tick, vectorized.
-
-        Mirrors ``FlatSchedule._make_step`` op for op; any exception leaves
-        the planes half-written and the caller re-runs the tick through the
-        scalar path (from the untouched ``prev_*`` planes).
-        """
-        program = self._program
-        n_ops = len(program)
-        pc = 0
-        while pc < n_ops:
-            op = program[pc]
-            pc += 1
-            code = op[0]
-            if code == OP_EXPR:
-                _, _leaf, in_spec, items, post = op
-                env = {name: values[slot] for name, slot in in_spec}
-                for slot, fn in items:
-                    if slot >= 0:
-                        values[slot] = fn(env, active)
-                    else:
-                        fn(env, active)
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_RUN:
-                _, leaf_index, fn, in_spec, out_spec, post, si = op
-                prev_row = prev_states[leaf_index]
-                next_row = next_states[leaf_index]
-                lane_inputs = None
-                if si >= 0:
-                    lane_inputs = scratch[si] = {}
-                for lane in indices:
-                    sub_inputs = {name: values[slot, lane]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs, prev_row[lane], tick)
-                    next_row[lane] = new_state
-                    for name, slot in out_spec:
-                        values[slot, lane] = outputs.get(name, ABSENT)
-                    if lane_inputs is not None:
-                        lane_inputs[lane] = sub_inputs
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_COPY:
-                for src, dst in op[1]:
-                    values[dst] = values[src]
-            elif code == OP_BUF_READ:
-                for index, dst in op[1]:
-                    values[dst] = prev_buffers[index]
-            elif code == OP_GATE:
-                # clock predicates see the tick only: one decision per tick
-                # gates the region for every lane at once
-                if not op[1](tick):
-                    pc = op[2]
-            elif code == OP_BUF_WRITE:
-                for src, index in op[1]:
-                    next_buffers[index] = values[src]
-            else:  # OP_CORRECT
-                for si, leaf_index, fn, in_spec in op[1]:
-                    lane_inputs = scratch[si]
-                    prev_row = prev_states[leaf_index]
-                    next_row = next_states[leaf_index]
-                    for lane in indices:
-                        final = {name: values[slot, lane]
-                                 for name, slot in in_spec}
-                        if final != lane_inputs[lane]:
-                            _, corrected = fn(final, prev_row[lane], tick)
-                            next_row[lane] = corrected
-
-    def _run_program_profiled(self, profile: Any, values: np.ndarray,
-                              active: np.ndarray, indices: List[int],
-                              tick: int, prev_states: List[List[Any]],
-                              next_states: List[List[Any]],
-                              prev_buffers: np.ndarray,
-                              next_buffers: np.ndarray,
-                              scratch: List[Any],
-                              clock: Any = time.perf_counter) -> None:
-        """``_run_program`` with per-op attribution into *profile*.
-
-        An exact mirror of :meth:`_run_program` -- any semantic change there
-        MUST be replicated here (``tests/test_obs.py`` checks trace
-        equivalence between the two).  Bound only under ``profile_ops``; the
-        default sweep never routes through this method.
-        """
-        program = self._program
-        n_ops = len(program)
-        counts = profile.counts
-        times = profile.times
-        gate_skips = profile.gate_skips
-        tick_started = clock()
-        pc = 0
-        while pc < n_ops:
-            op = program[pc]
-            index = pc
-            pc += 1
-            code = op[0]
-            op_started = clock()
-            if code == OP_EXPR:
-                _, _leaf, in_spec, items, post = op
-                env = {name: values[slot] for name, slot in in_spec}
-                for slot, fn in items:
-                    if slot >= 0:
-                        values[slot] = fn(env, active)
-                    else:
-                        fn(env, active)
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_RUN:
-                _, leaf_index, fn, in_spec, out_spec, post, si = op
-                prev_row = prev_states[leaf_index]
-                next_row = next_states[leaf_index]
-                lane_inputs = None
-                if si >= 0:
-                    lane_inputs = scratch[si] = {}
-                for lane in indices:
-                    sub_inputs = {name: values[slot, lane]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs, prev_row[lane], tick)
-                    next_row[lane] = new_state
-                    for name, slot in out_spec:
-                        values[slot, lane] = outputs.get(name, ABSENT)
-                    if lane_inputs is not None:
-                        lane_inputs[lane] = sub_inputs
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_COPY:
-                for src, dst in op[1]:
-                    values[dst] = values[src]
-            elif code == OP_BUF_READ:
-                for index_, dst in op[1]:
-                    values[dst] = prev_buffers[index_]
-            elif code == OP_GATE:
-                if not op[1](tick):
-                    pc = op[2]
-                    gate_skips[index] += 1
-            elif code == OP_BUF_WRITE:
-                for src, index_ in op[1]:
-                    next_buffers[index_] = values[src]
-            else:  # OP_CORRECT
-                for si, leaf_index, fn, in_spec in op[1]:
-                    lane_inputs = scratch[si]
-                    prev_row = prev_states[leaf_index]
-                    next_row = next_states[leaf_index]
-                    for lane in indices:
-                        final = {name: values[slot, lane]
-                                 for name, slot in in_spec}
-                        if final != lane_inputs[lane]:
-                            _, corrected = fn(final, prev_row[lane], tick)
-                            next_row[lane] = corrected
-                            profile.correction_reruns += 1
-            times[index] += clock() - op_started
-            counts[index] += 1
-        profile.ticks += 1
-        profile.total_time_s += clock() - tick_started
-
     # -- the scalar fallback tick -------------------------------------------
 
-    def _scalar_tick(self, tick: int, indices: List[int],
+    def _scalar_tick(self, tick: int, indices: List[int], frame: LaneFrame,
                      in_rows: Dict[str, np.ndarray],
                      out_rows: Dict[str, np.ndarray],
-                     states: List[List[Any]], next_states: List[List[Any]],
-                     buffers: np.ndarray, next_buffers: np.ndarray,
                      input_names: Sequence[str],
                      output_spec: Tuple[Tuple[str, int], ...], live: np.ndarray,
                      errors: List[Optional[str]],
-                     exceptions: List[Optional[BaseException]],
-                     n_buffers: int) -> None:
+                     exceptions: List[Optional[BaseException]]) -> None:
         """Re-run one tick per active lane through the scalar flat step.
 
-        Runs from the tick-start state (``states``/``buffers`` are never
-        touched by the aborted vectorized attempt), so each lane reproduces
-        exactly what the scalar engine computes at this tick: identical
+        Runs from the tick-start state (the frame's ``prev_*`` planes are
+        never touched by the aborted vectorized attempt), so each lane
+        reproduces exactly what the scalar engine computes: identical
         outputs and next states for healthy lanes, the identical exception
         -- type, message, tick -- for failing ones, which leave the sweep
         without disturbing their neighbours.
         """
         step = self.flat.step
-        n_leaves = len(states)
+        states, buffers = frame.prev_states, frame.prev_buffers
+        next_states, next_buffers = frame.next_states, frame.next_buffers
+        n_leaves, n_buffers = len(states), len(buffers)
         for lane in indices:
             inputs = {name: in_rows[name][tick, lane] for name in input_names}
             lane_state = FlatState(

@@ -25,9 +25,11 @@ them (copies, buffers) even though only Python can *compute* with them.
 **The trampoline.**  Ops the emitter routed to the fallback path -- and
 lowered expression blocks whose run-time values escape exact int64/double
 replication -- re-enter Python through one ``ctypes`` callback carrying
-the op index; the replay closures execute the original flat-program
-semantics (the same nested step functions and compiled expression
-closures) against the tagged plane.  A replay that raises stores the
+the op index, which replays the flat schedule's own scalar kernel for
+that op (:data:`~repro.simulation.schedule_ir.SCALAR_KERNELS`: the same
+nested step functions and compiled expression closures) with the tagged
+slot plane as its ``values`` -- one :class:`_TaggedPlane` codec encodes
+and decodes every slot and buffer access.  A kernel that raises stores the
 exception and returns nonzero; the C function unwinds immediately and
 :attr:`step` re-raises it unchanged, which is what makes error-path
 behaviour (exception type, message, tick) identical to the flat backend
@@ -35,7 +37,7 @@ by construction.
 
 :class:`NativeSchedule` deliberately does **not** offer ``op_labels`` /
 ``instrumented_step`` / ``recording_step``: op-level profiling and flight
-recording instrument the *Python* op loop, so
+recording wrap the kernels of the *Python* driver loop, so
 :meth:`repro.obs.context.Telemetry.step_for` finds nothing to swap and
 observability degrades gracefully to spans and counters.
 """
@@ -48,8 +50,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ...core.values import ABSENT
 from ...obs.context import active as _obs_active
 from ...obs.context import maybe_span
-from ..schedule_ir import (OP_CORRECT, OP_EXPR, OP_RUN, FlatSchedule,
-                           FlatState)
+from ..schedule_ir import FlatSchedule, FlatState, Frame
 from .emit import LoweredProgram, lower_program
 from .toolchain import (EMITTER_VERSION, NativeLoweringError,
                         ensure_shared_object, find_compiler)
@@ -59,13 +60,65 @@ _INT64_MAX = 2 ** 63 - 1
 
 _TRAMP_TYPE = ctypes.CFUNCTYPE(ctypes.c_longlong, ctypes.c_longlong)
 
-_ARGTYPES = [ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_longlong),
-             ctypes.POINTER(ctypes.c_double),
-             ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_longlong),
-             ctypes.POINTER(ctypes.c_double),
-             ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_longlong),
-             ctypes.POINTER(ctypes.c_double),
-             ctypes.POINTER(ctypes.c_ubyte), _TRAMP_TYPE]
+#: element types of one tagged plane: tag / int64 payload / double payload
+_PLANE_TYPES = (ctypes.c_ubyte, ctypes.c_longlong, ctypes.c_double)
+
+#: ``repro_step`` arguments: slot, previous-buffer and next-buffer planes,
+#: the gate bytes and the trampoline
+_ARGTYPES = [ctypes.POINTER(kind) for kind in _PLANE_TYPES * 3] \
+    + [ctypes.POINTER(ctypes.c_ubyte), _TRAMP_TYPE]
+
+
+class _TaggedPlane:
+    """A tagged array triple -- tag / int64 payload / double payload --
+    read and written like a list of Python values.
+
+    The one codec between Python values and the C step's planes: the slot
+    plane and both delayed-buffer planes are instances, and the trampoline
+    hands the slot plane to the flat schedule's scalar kernels as their
+    ``values``.  Values without a native representation ride the shared
+    per-tick object table (:data:`~repro.ascet.c_expr.TAG_OBJ`).
+    """
+
+    __slots__ = ("tag", "iv", "fv", "arrays", "objtable")
+
+    def __init__(self, size: int, objtable: List[Any]):
+        self.arrays = tuple((kind * size)() for kind in _PLANE_TYPES)
+        self.tag, self.iv, self.fv = self.arrays
+        self.objtable = objtable
+
+    def __setitem__(self, index: int, value: Any) -> None:
+        kind = type(value)
+        if value is ABSENT:
+            self.tag[index] = 0
+        elif kind is bool:
+            self.tag[index] = 3
+            self.iv[index] = 1 if value else 0
+        elif kind is int and _INT64_MIN <= value <= _INT64_MAX:
+            self.tag[index] = 1
+            self.iv[index] = value
+        elif kind is float:
+            self.tag[index] = 2
+            self.fv[index] = value
+        else:
+            # exact-type dispatch on purpose: subclasses (IntEnum, ...)
+            # must round-trip identically, so they ride the object table
+            objtable = self.objtable
+            self.tag[index] = 4
+            self.iv[index] = len(objtable)
+            objtable.append(value)
+
+    def __getitem__(self, index: int) -> Any:
+        tag = self.tag[index]
+        if tag == 0:
+            return ABSENT
+        if tag == 1:
+            return self.iv[index]
+        if tag == 2:
+            return self.fv[index]
+        if tag == 3:
+            return self.iv[index] != 0
+        return self.objtable[self.iv[index]]
 
 
 class NativeSchedule:
@@ -83,23 +136,21 @@ class NativeSchedule:
                  lowered: LoweredProgram):
         self.flat = flat
         self.component = flat.component
+        self.program = flat.program
+        self.input_spec = flat.input_spec
+        self.output_spec = flat.output_spec
+        self.fallback_paths = flat.fallback_paths
         self.so_path = so_path
         self.lowered = lowered
         #: total trampoline re-entries (fallback ops + run-time bails);
         #: plain attribute, no observability branch on the hot path.
         self.trampoline_calls = 0
 
-        n_slots = flat.n_slots
         n_buffers = len(flat.buffer_specs)
-        self._tag = (ctypes.c_ubyte * n_slots)()
-        self._iv = (ctypes.c_longlong * n_slots)()
-        self._fv = (ctypes.c_double * n_slots)()
-        self._pbt = (ctypes.c_ubyte * n_buffers)()
-        self._pbi = (ctypes.c_longlong * n_buffers)()
-        self._pbf = (ctypes.c_double * n_buffers)()
-        self._nbt = (ctypes.c_ubyte * n_buffers)()
-        self._nbi = (ctypes.c_longlong * n_buffers)()
-        self._nbf = (ctypes.c_double * n_buffers)()
+        self._objtable: List[Any] = []
+        self._slots = _TaggedPlane(flat.n_slots, self._objtable)
+        self._prev_buffers = _TaggedPlane(n_buffers, self._objtable)
+        self._next_buffers = _TaggedPlane(n_buffers, self._objtable)
         self._gate = (ctypes.c_ubyte * len(lowered.gate_indexes))()
 
         self._lib = ctypes.CDLL(so_path)
@@ -107,215 +158,73 @@ class NativeSchedule:
         self._fn.restype = ctypes.c_longlong
         self._fn.argtypes = _ARGTYPES
 
-        # per-tick context the replay closures read
-        self._objtable: List[Any] = []
-        self._prev_states: List[Any] = []
-        self._next_states: List[Any] = []
-        self._scratch: List[Any] = []
-        self._tick = 0
+        # the tick's frame the trampolined kernels read
+        self._frame: Optional[Frame] = None
         self._pending: Optional[BaseException] = None
 
-        self._replay = self._build_replay()
         self._tramp = _TRAMP_TYPE(self._trampoline)  # kept alive on self
         self.step = self._make_step()
-
-    # -- tagged-plane marshalling ------------------------------------------
-
-    def _store(self, slot: int, value: Any) -> None:
-        kind = type(value)
-        if value is ABSENT:
-            self._tag[slot] = 0
-        elif kind is bool:
-            self._tag[slot] = 3
-            self._iv[slot] = 1 if value else 0
-        elif kind is int and _INT64_MIN <= value <= _INT64_MAX:
-            self._tag[slot] = 1
-            self._iv[slot] = value
-        elif kind is float:
-            self._tag[slot] = 2
-            self._fv[slot] = value
-        else:
-            # exact-type dispatch on purpose: subclasses (IntEnum, ...)
-            # must round-trip identically, so they ride the object table
-            objtable = self._objtable
-            self._tag[slot] = 4
-            self._iv[slot] = len(objtable)
-            objtable.append(value)
-
-    def _load(self, slot: int) -> Any:
-        tag = self._tag[slot]
-        if tag == 0:
-            return ABSENT
-        if tag == 1:
-            return self._iv[slot]
-        if tag == 2:
-            return self._fv[slot]
-        if tag == 3:
-            return self._iv[slot] != 0
-        return self._objtable[self._iv[slot]]
-
-    def _copy_slot(self, src: int, dst: int) -> None:
-        self._tag[dst] = self._tag[src]
-        self._iv[dst] = self._iv[src]
-        self._fv[dst] = self._fv[src]
-
-    def _store_prev_buffer(self, index: int, value: Any) -> None:
-        kind = type(value)
-        if value is ABSENT:
-            self._pbt[index] = 0
-        elif kind is bool:
-            self._pbt[index] = 3
-            self._pbi[index] = 1 if value else 0
-        elif kind is int and _INT64_MIN <= value <= _INT64_MAX:
-            self._pbt[index] = 1
-            self._pbi[index] = value
-        elif kind is float:
-            self._pbt[index] = 2
-            self._pbf[index] = value
-        else:
-            objtable = self._objtable
-            self._pbt[index] = 4
-            self._pbi[index] = len(objtable)
-            objtable.append(value)
-
-    def _load_next_buffer(self, index: int) -> Any:
-        tag = self._nbt[index]
-        if tag == 0:
-            return ABSENT
-        if tag == 1:
-            return self._nbi[index]
-        if tag == 2:
-            return self._nbf[index]
-        if tag == 3:
-            return self._nbi[index] != 0
-        return self._objtable[self._nbi[index]]
 
     # -- the trampoline ----------------------------------------------------
 
     def _trampoline(self, op_index: int) -> int:
+        """Replay op *op_index* through the flat schedule's scalar kernel,
+        on the tagged slot plane."""
         self.trampoline_calls += 1
         try:
-            self._replay[op_index]()
+            self.flat.kernels[op_index](self._slots, self._frame)
             return 0
         except BaseException as exc:  # noqa: BLE001 - re-raised by step
             self._pending = exc
             return 1
 
-    def _build_replay(self) -> List[Any]:
-        """One replay closure per op (``None`` for never-trampolined ops).
-
-        Each closure re-executes its op with the flat engine's exact
-        semantics, reading and writing the tagged plane through
-        :meth:`_load` / :meth:`_store` instead of the flat ``values`` list.
-        """
-        absent = ABSENT
-        load = self._load
-        store = self._store
-        copy_slot = self._copy_slot
-        replay: List[Any] = []
-        for op in self.flat.program:
-            code = op[0]
-            if code == OP_RUN:
-                _, leaf_index, fn, in_spec, out_spec, post, si = op
-
-                def replay_run(fn=fn, leaf_index=leaf_index, in_spec=in_spec,
-                               out_spec=out_spec, post=post, si=si):
-                    sub_inputs = {name: load(slot) for name, slot in in_spec}
-                    outputs, new_state = fn(
-                        sub_inputs, self._prev_states[leaf_index], self._tick)
-                    self._next_states[leaf_index] = new_state
-                    for name, slot in out_spec:
-                        store(slot, outputs.get(name, absent))
-                    for src, dst in post:
-                        copy_slot(src, dst)
-                    if si >= 0:
-                        self._scratch[si] = sub_inputs
-
-                replay.append(replay_run)
-            elif code == OP_EXPR:
-                _, _leaf, in_spec, items, post = op
-
-                def replay_expr(in_spec=in_spec, items=items, post=post):
-                    env = {name: load(slot) for name, slot in in_spec}
-                    for slot, fn in items:
-                        if slot >= 0:
-                            store(slot, fn(env))
-                        else:
-                            fn(env)
-                    for src, dst in post:
-                        copy_slot(src, dst)
-
-                replay.append(replay_expr)
-            elif code == OP_CORRECT:
-                entries = op[1]
-
-                def replay_correct(entries=entries):
-                    for si, leaf_index, fn, in_spec in entries:
-                        final = {name: load(slot) for name, slot in in_spec}
-                        if final != self._scratch[si]:
-                            _, corrected = fn(
-                                final, self._prev_states[leaf_index],
-                                self._tick)
-                            self._next_states[leaf_index] = corrected
-
-                replay.append(replay_correct)
-            else:  # copy / buf_read / buf_write / gate are always native
-                replay.append(None)
-        return replay
-
     # -- the step function -------------------------------------------------
 
     def _make_step(self):
         flat = self.flat
-        input_spec = flat.input_spec
-        output_spec = flat.output_spec
+        input_spec = self.input_spec
+        output_spec = self.output_spec
         n_buffers = len(flat.buffer_specs)
         n_scratch = flat._scratch_count  # noqa: SLF001
         convert = flat._convert_state  # noqa: SLF001
         absent = ABSENT
         gates = [(index, flat.program[op_index][1])
                  for index, op_index in enumerate(self.lowered.gate_indexes)]
-        tag, gate = self._tag, self._gate
-        pbt, pbi, pbf = self._pbt, self._pbi, self._pbf
-        nbt, nbi, nbf = self._nbt, self._nbi, self._nbf
-        iv, fv = self._iv, self._fv
-        tag_bytes = ctypes.sizeof(tag)
-        pbt_bytes = ctypes.sizeof(pbt)
-        pbi_bytes = ctypes.sizeof(pbi)
-        pbf_bytes = ctypes.sizeof(pbf)
+        slots, gate = self._slots, self._gate
+        prev_plane, next_plane = self._prev_buffers, self._next_buffers
+        objtable = self._objtable
+        planes = slots.arrays + prev_plane.arrays + next_plane.arrays \
+            + (gate,)
+        tag_bytes = ctypes.sizeof(slots.tag)
+        buffer_moves = [(dst, src, ctypes.sizeof(src)) for dst, src
+                        in zip(next_plane.arrays, prev_plane.arrays)]
         memset = ctypes.memset
         memmove = ctypes.memmove
         fn = self._fn
         tramp = self._tramp
-        store = self._store
-        load = self._load
-        store_buffer = self._store_prev_buffer
-        load_buffer = self._load_next_buffer
 
         def step(inputs: Mapping[str, Any], state: Any,
                  tick: int) -> Tuple[Dict[str, Any], Any]:
             if type(state) is not FlatState:
                 state = convert(state)
             prev_buffers = state.buffers
-            self._prev_states = prev_states = state.leaf_states
-            self._next_states = next_states = prev_states[:]
-            self._scratch = [None] * n_scratch if n_scratch else []
-            self._tick = tick
-            self._objtable.clear()
-            memset(tag, 0, tag_bytes)
+            prev_states = state.leaf_states
+            self._frame = frame = Frame(
+                inputs, tick, prev_states, prev_states[:], prev_plane,
+                next_plane, [None] * n_scratch)
+            objtable.clear()
+            memset(slots.tag, 0, tag_bytes)
             for name, slot in input_spec:
                 value = inputs.get(name, absent)
                 if value is not absent:
-                    store(slot, value)
+                    slots[slot] = value
             for index in range(n_buffers):
-                store_buffer(index, prev_buffers[index])
-            memmove(nbt, pbt, pbt_bytes)
-            memmove(nbi, pbi, pbi_bytes)
-            memmove(nbf, pbf, pbf_bytes)
+                prev_plane[index] = prev_buffers[index]
+            for dst, src, size in buffer_moves:
+                memmove(dst, src, size)
             for index, predicate in gates:
                 gate[index] = 1 if predicate(tick) else 0
-            failed = fn(tag, iv, fv, pbt, pbi, pbf, nbt, nbi, nbf, gate,
-                        tramp)
+            failed = fn(*planes, tramp)
             if failed:
                 pending = self._pending
                 self._pending = None
@@ -324,29 +233,13 @@ class NativeSchedule:
                         f"native step failed at op {failed - 1} without a "
                         "pending Python exception")
                 raise pending
-            outputs = {name: load(slot) for name, slot in output_spec}
-            next_buffers = [load_buffer(index) for index in range(n_buffers)]
-            return outputs, FlatState(next_states, next_buffers)
+            outputs = {name: slots[slot] for name, slot in output_spec}
+            next_buffers = [next_plane[index] for index in range(n_buffers)]
+            return outputs, FlatState(frame.next_states, next_buffers)
 
         return step
 
     # -- delegation to the wrapped flat schedule ---------------------------
-
-    @property
-    def input_spec(self) -> Tuple[Tuple[str, int], ...]:
-        return self.flat.input_spec
-
-    @property
-    def output_spec(self) -> Tuple[Tuple[str, int], ...]:
-        return self.flat.output_spec
-
-    @property
-    def program(self) -> Tuple[Tuple[Any, ...], ...]:
-        return self.flat.program
-
-    @property
-    def fallback_paths(self) -> List[str]:
-        return self.flat.fallback_paths
 
     def initial_state(self) -> FlatState:
         return self.flat.initial_state()

@@ -38,6 +38,16 @@ engine:
   tick-start state with the final values, mirroring the reference
   interpreter's second pass.
 
+**Kernels.**  Each opcode's execution semantics is written once, as a
+kernel factory in :data:`SCALAR_KERNELS`: a plain closure per op over the
+slot environment that returns a jump target or ``None``.  The tuple-encoded
+program stays the IR contract (the verifier and the C emitter read it);
+:func:`run_kernels` is the one driver loop.  Step variants are built by
+wrapping kernels, not by copying the loop: op profiling
+(:func:`profiled_kernels`), flight recording, the batch backend (which
+reuses the copy/buffer/gate kernels on NumPy rows) and the native
+trampoline (which replays these kernels on its tagged plane).
+
 **State.**  Run-time state is a :class:`FlatState`: one flat list of leaf
 states plus one flat list of delayed-channel buffers.  The step also
 accepts the nested dict state produced by ``component.initial_state()``
@@ -62,7 +72,8 @@ initial state for.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..core.components import (Component, CompositeComponent,
                                ExpressionComponent,
@@ -72,13 +83,211 @@ from ..core.values import ABSENT
 from ..obs.context import maybe_span
 from .engine import ClockGatedComponent
 
-#: Opcodes of the flat program (tuple-encoded, dispatched by one loop).
+#: Opcodes of the flat program (tuple-encoded; executed through kernels).
 (OP_RUN, OP_EXPR, OP_COPY, OP_BUF_READ, OP_BUF_WRITE, OP_GATE,
  OP_CORRECT) = range(7)
 
 _OP_NAMES = {OP_RUN: "run", OP_EXPR: "expr", OP_COPY: "copy",
              OP_BUF_READ: "buf_read", OP_BUF_WRITE: "buf_write",
              OP_GATE: "gate", OP_CORRECT: "correct"}
+
+
+#: An op kernel: ``(values, frame) -> jump target or None``.
+Kernel = Callable[[Any, "Frame"], Optional[int]]
+#: Builds the kernel of one op tuple.
+KernelFactory = Callable[[Tuple[Any, ...]], Kernel]
+
+
+class Frame:
+    """The per-tick context op kernels read besides the slot values.
+
+    ``prev_*`` are the tick-start leaf states and delayed buffers (never
+    written, which keeps the correction barrier's re-runs trivially
+    correct), ``next_*`` the ones this tick builds; ``scratch`` holds the
+    input environments of correction-tracked runs for the barrier's
+    compare.  ``inputs`` are the tick's boundary inputs (forensics only).
+    """
+
+    __slots__ = ("inputs", "tick", "prev_states", "next_states",
+                 "prev_buffers", "next_buffers", "scratch")
+
+    def __init__(self, inputs: Any, tick: int, prev_states: Any,
+                 next_states: Any, prev_buffers: Any, next_buffers: Any,
+                 scratch: List[Any]):
+        self.inputs = inputs
+        self.tick = tick
+        self.prev_states = prev_states
+        self.next_states = next_states
+        self.prev_buffers = prev_buffers
+        self.next_buffers = next_buffers
+        self.scratch = scratch
+
+
+# -- the scalar kernel table -------------------------------------------------
+#
+# One factory per opcode turns an op tuple into a closure over the slot
+# environment.  The value model is whatever ``values`` indexes into: a list
+# of Python values here, the native backend's tagged plane on the
+# trampoline, and -- for copy / buf_read / buf_write / gate, which only
+# move whole entries -- the batch backend's ``(slot, lane)`` NumPy rows.
+
+
+def _run_kernel(op: Tuple[Any, ...]) -> Kernel:
+    _, leaf_index, fn, in_spec, out_spec, post, si = op
+
+    def run(values: Any, frame: Frame) -> None:
+        sub_inputs = {name: values[slot] for name, slot in in_spec}
+        outputs, new_state = fn(sub_inputs, frame.prev_states[leaf_index],
+                                frame.tick)
+        frame.next_states[leaf_index] = new_state
+        for name, slot in out_spec:
+            values[slot] = outputs.get(name, ABSENT)
+        for src, dst in post:
+            values[dst] = values[src]
+        if si >= 0:
+            frame.scratch[si] = sub_inputs
+
+    return run
+
+
+def _expr_kernel(op: Tuple[Any, ...]) -> Kernel:
+    _, _leaf, in_spec, items, post = op
+
+    def expr(values: Any, frame: Frame) -> None:
+        env = {name: values[slot] for name, slot in in_spec}
+        for slot, fn in items:
+            if slot >= 0:
+                values[slot] = fn(env)
+            else:
+                fn(env)
+        for src, dst in post:
+            values[dst] = values[src]
+
+    return expr
+
+
+def _copy_kernel(op: Tuple[Any, ...]) -> Kernel:
+    pairs = op[1]
+
+    def copy(values: Any, frame: Frame) -> None:
+        for src, dst in pairs:
+            values[dst] = values[src]
+
+    return copy
+
+
+def _buf_read_kernel(op: Tuple[Any, ...]) -> Kernel:
+    pairs = op[1]
+
+    def buf_read(values: Any, frame: Frame) -> None:
+        for index, dst in pairs:
+            values[dst] = frame.prev_buffers[index]
+
+    return buf_read
+
+
+def _buf_write_kernel(op: Tuple[Any, ...]) -> Kernel:
+    pairs = op[1]
+
+    def buf_write(values: Any, frame: Frame) -> None:
+        for src, index in pairs:
+            frame.next_buffers[index] = values[src]
+
+    return buf_write
+
+
+def _gate_kernel(op: Tuple[Any, ...]) -> Kernel:
+    _, present, target = op
+
+    def gate(values: Any, frame: Frame) -> Optional[int]:
+        # clock predicates see the tick only: a batch sweep gates the
+        # region for every lane at once
+        return None if present(frame.tick) else target
+
+    return gate
+
+
+def _correct_kernel(op: Tuple[Any, ...]) -> Kernel:
+    entries = op[1]
+
+    def correct(values: Any, frame: Frame) -> None:
+        for si, leaf_index, fn, in_spec in entries:
+            final = {name: values[slot] for name, slot in in_spec}
+            if final != frame.scratch[si]:
+                _, corrected = fn(final, frame.prev_states[leaf_index],
+                                  frame.tick)
+                frame.next_states[leaf_index] = corrected
+
+    return correct
+
+
+#: Opcode -> kernel factory for the scalar value model.
+SCALAR_KERNELS: Dict[int, KernelFactory] = {
+    OP_RUN: _run_kernel, OP_EXPR: _expr_kernel, OP_COPY: _copy_kernel,
+    OP_BUF_READ: _buf_read_kernel, OP_BUF_WRITE: _buf_write_kernel,
+    OP_GATE: _gate_kernel, OP_CORRECT: _correct_kernel}
+
+
+def run_kernels(kernels: Sequence[Kernel], values: Any, frame: Frame) -> None:
+    """Execute one tick of a kernel table: the driver loop of every
+    backend that interprets the op program."""
+    pc = 0
+    end = len(kernels)
+    while pc < end:
+        jump = kernels[pc](values, frame)
+        pc = pc + 1 if jump is None else jump
+
+
+def profiled_kernels(program: Sequence[Tuple[Any, ...]],
+                     factories: Mapping[int, KernelFactory], profile: Any,
+                     clock: Any) -> List[Kernel]:
+    """The kernels of *program*, each wrapped to attribute its wall time
+    and execution count to *profile*; a returned jump counts as a gate
+    skip.  Correction barriers are rebuilt over counting leaf steps, so
+    re-runs are counted without a hook in the plain kernel."""
+    counts = profile.counts
+    times = profile.times
+    gate_skips = profile.gate_skips
+
+    def counted(fn: Callable[..., Any]) -> Callable[..., Any]:
+        def rerun(inputs: Any, state: Any, tick: int) -> Any:
+            result = fn(inputs, state, tick)
+            profile.correction_reruns += 1
+            return result
+        return rerun
+
+    def timed(index: int, kernel: Kernel) -> Kernel:
+        def op(values: Any, frame: Frame) -> Optional[int]:
+            started = clock()
+            jump = kernel(values, frame)
+            times[index] += clock() - started
+            counts[index] += 1
+            if jump is not None:
+                gate_skips[index] += 1
+            return jump
+        return op
+
+    kernels = []
+    for index, op in enumerate(program):
+        if op[0] == OP_CORRECT:
+            op = (OP_CORRECT, tuple((si, leaf_index, counted(fn), in_spec)
+                                    for si, leaf_index, fn, in_spec
+                                    in op[1]))
+        kernels.append(timed(index, factories[op[0]](op)))
+    return kernels
+
+
+def profiled_ticks(run: Callable[..., Any], profile: Any,
+                   clock: Any) -> Callable[..., Any]:
+    """*run* (one tick of a program) wrapped to count completed ticks and
+    their wall time into *profile*."""
+    def tick(*args: Any) -> Any:
+        started = clock()
+        result = run(*args)
+        profile.ticks += 1
+        profile.total_time_s += clock() - started
+        return result
+    return tick
 
 
 class FlatState:
@@ -449,25 +658,15 @@ class FlatSchedule:
         self.fallback_paths = fallback_paths
         #: hierarchical ``path.port`` label per slot (forensics decoding)
         self.slot_names = slot_names
-        self._input_spec = input_spec
-        self._output_spec = output_spec
+        #: ``(port_name, slot)`` pairs scattered from the inputs each tick
+        self.input_spec = input_spec
+        #: ``(port_name, slot)`` pairs gathered into the outputs each tick
+        self.output_spec = output_spec
         self._scratch_count = scratch_count
         self._linear = linear
-        self.step = self._make_step()
-
-    # -- boundary specs ----------------------------------------------------
-
-    @property
-    def input_spec(self) -> Tuple[Tuple[str, int], ...]:
-        """``(port_name, slot)`` pairs scattered from the inputs each tick
-        (public for IR passes and the static verifier)."""
-        return self._input_spec
-
-    @property
-    def output_spec(self) -> Tuple[Tuple[str, int], ...]:
-        """``(port_name, slot)`` pairs gathered into the outputs each tick
-        (public for IR passes and the static verifier)."""
-        return self._output_spec
+        #: the scalar kernel table, index-aligned with :attr:`program`
+        self.kernels = [SCALAR_KERNELS[op[0]](op) for op in program]
+        self.step = self._drive(self.kernels)
 
     # -- state -------------------------------------------------------------
 
@@ -489,15 +688,16 @@ class FlatSchedule:
                            if isinstance(delayed, Mapping) else initial)
         return FlatState(leaf_states, buffers)
 
-    # -- the step function -------------------------------------------------
+    # -- the step function and its variants --------------------------------
 
-    def _make_step(self):
-        program = self.program
-        n_ops = len(program)
+    def _drive(self, kernels: List[Kernel]):
+        """A ``(inputs, state, tick) -> (outputs, state)`` step executing
+        *kernels*: every flat step variant is this one function over a
+        differently wrapped kernel table."""
         n_slots = self.n_slots
         n_scratch = self._scratch_count
-        input_spec = self._input_spec
-        output_spec = self._output_spec
+        input_spec = self.input_spec
+        output_spec = self.output_spec
         convert = self._convert_state
         absent = ABSENT
 
@@ -505,300 +705,70 @@ class FlatSchedule:
                  tick: int) -> Tuple[Dict[str, Any], Any]:
             if type(state) is not FlatState:
                 state = convert(state)
-            prev_states = state.leaf_states
-            prev_buffers = state.buffers
-            next_states = prev_states[:]
-            next_buffers = prev_buffers[:]
             values = [absent] * n_slots
             for name, slot in input_spec:
                 values[slot] = inputs.get(name, absent)
-            scratch: List[Any] = [None] * n_scratch if n_scratch else []
-            pc = 0
-            while pc < n_ops:
-                op = program[pc]
-                pc += 1
-                code = op[0]
-                if code == OP_RUN:
-                    _, leaf_index, fn, in_spec, out_spec, post, si = op
-                    sub_inputs = {name: values[slot]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs,
-                                            prev_states[leaf_index], tick)
-                    next_states[leaf_index] = new_state
-                    for name, slot in out_spec:
-                        values[slot] = outputs.get(name, absent)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                    if si >= 0:
-                        scratch[si] = sub_inputs
-                elif code == OP_EXPR:
-                    _, _leaf, in_spec, items, post = op
-                    env = {name: values[slot] for name, slot in in_spec}
-                    for slot, fn in items:
-                        if slot >= 0:
-                            values[slot] = fn(env)
-                        else:
-                            fn(env)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                elif code == OP_COPY:
-                    for src, dst in op[1]:
-                        values[dst] = values[src]
-                elif code == OP_BUF_READ:
-                    for index, dst in op[1]:
-                        values[dst] = prev_buffers[index]
-                elif code == OP_GATE:
-                    if not op[1](tick):
-                        pc = op[2]
-                elif code == OP_BUF_WRITE:
-                    for src, index in op[1]:
-                        next_buffers[index] = values[src]
-                else:  # OP_CORRECT
-                    for si, leaf_index, fn, in_spec in op[1]:
-                        final = {name: values[slot]
-                                 for name, slot in in_spec}
-                        if final != scratch[si]:
-                            _, corrected = fn(final, prev_states[leaf_index],
-                                              tick)
-                            next_states[leaf_index] = corrected
+            frame = Frame(inputs, tick, state.leaf_states,
+                          state.leaf_states[:], state.buffers,
+                          state.buffers[:], [None] * n_scratch)
+            run_kernels(kernels, values, frame)
             outputs = {}
             for name, slot in output_spec:
                 outputs[name] = values[slot]
-            return outputs, FlatState(next_states, next_buffers)
+            return outputs, FlatState(frame.next_states, frame.next_buffers)
 
         return step
-
-    # -- instrumentation ---------------------------------------------------
-
-    def op_labels(self) -> List[Tuple[str, str, bool]]:
-        """Per-op descriptors for :class:`repro.obs.profile.OpProfile`:
-        ``(kind name, human label, runs-on-nested-fallback)``.
-
-        Labels match :meth:`ops_summary`; the nested flag marks ``run`` ops
-        whose leaf executes on the nested-compiled fallback path, so
-        profiles can report fallback activity without re-deriving it.
-        """
-        labels: List[Tuple[str, str, bool]] = []
-        for op in self.program:
-            code = op[0]
-            kind = _OP_NAMES[code]
-            nested = False
-            if code in (OP_RUN, OP_EXPR):
-                leaf = self.leaves[op[1]]
-                label = (f"{leaf.steps_prefix}/{leaf.component.name} "
-                         f"[{leaf.run_kind}]")
-                nested = leaf.run_kind == "nested"
-            elif code == OP_GATE:
-                label = f"gate -> {op[2]}"
-            elif code == OP_CORRECT:
-                label = f"correction barrier ({len(op[1])})"
-            else:
-                label = f"{kind} ({len(op[1])} pairs)"
-            labels.append((kind, label, nested))
-        return labels
 
     def instrumented_step(self, profile: Any,
                           clock: Any = time.perf_counter):
         """An instrumented variant of :attr:`step` recording into *profile*.
 
-        Mirrors :meth:`_make_step` op for op (any semantic change there
-        MUST be replicated here -- the equivalence test in
-        ``tests/test_obs.py`` pins identical traces) and adds, per op
-        executed: execution count and wall time; per gate: skip counts;
-        per correction barrier: re-run counts; per tick: total step time.
-        The default :attr:`step` closure is left untouched -- swapping the
-        step function in and out is the whole zero-overhead-when-off
-        mechanism, there is no profiling branch on the uninstrumented
-        path.
+        The same driver over :func:`profiled_kernels`: per op executed,
+        execution count and wall time; per gate, skip counts; per
+        correction barrier, re-run counts; per tick, total step time.  The
+        default :attr:`step` closure is left untouched -- swapping the step
+        function in and out is the whole zero-overhead-when-off mechanism,
+        there is no profiling branch on the uninstrumented path.
         """
-        program = self.program
-        n_ops = len(program)
-        n_slots = self.n_slots
-        n_scratch = self._scratch_count
-        input_spec = self._input_spec
-        output_spec = self._output_spec
-        convert = self._convert_state
-        absent = ABSENT
-        counts = profile.counts
-        times = profile.times
-        gate_skips = profile.gate_skips
-
-        def step(inputs: Mapping[str, Any], state: Any,
-                 tick: int) -> Tuple[Dict[str, Any], Any]:
-            tick_started = clock()
-            if type(state) is not FlatState:
-                state = convert(state)
-            prev_states = state.leaf_states
-            prev_buffers = state.buffers
-            next_states = prev_states[:]
-            next_buffers = prev_buffers[:]
-            values = [absent] * n_slots
-            for name, slot in input_spec:
-                values[slot] = inputs.get(name, absent)
-            scratch: List[Any] = [None] * n_scratch if n_scratch else []
-            pc = 0
-            while pc < n_ops:
-                index = pc
-                op = program[pc]
-                pc += 1
-                code = op[0]
-                op_started = clock()
-                if code == OP_RUN:
-                    _, leaf_index, fn, in_spec, out_spec, post, si = op
-                    sub_inputs = {name: values[slot]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs,
-                                            prev_states[leaf_index], tick)
-                    next_states[leaf_index] = new_state
-                    for name, slot in out_spec:
-                        values[slot] = outputs.get(name, absent)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                    if si >= 0:
-                        scratch[si] = sub_inputs
-                elif code == OP_EXPR:
-                    _, _leaf, in_spec, items, post = op
-                    env = {name: values[slot] for name, slot in in_spec}
-                    for slot, fn in items:
-                        if slot >= 0:
-                            values[slot] = fn(env)
-                        else:
-                            fn(env)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                elif code == OP_COPY:
-                    for src, dst in op[1]:
-                        values[dst] = values[src]
-                elif code == OP_BUF_READ:
-                    for index_, dst in op[1]:
-                        values[dst] = prev_buffers[index_]
-                elif code == OP_GATE:
-                    if not op[1](tick):
-                        pc = op[2]
-                        gate_skips[index] += 1
-                elif code == OP_BUF_WRITE:
-                    for src, index_ in op[1]:
-                        next_buffers[index_] = values[src]
-                else:  # OP_CORRECT
-                    for si, leaf_index, fn, in_spec in op[1]:
-                        final = {name: values[slot]
-                                 for name, slot in in_spec}
-                        if final != scratch[si]:
-                            _, corrected = fn(final, prev_states[leaf_index],
-                                              tick)
-                            next_states[leaf_index] = corrected
-                            profile.correction_reruns += 1
-                times[index] += clock() - op_started
-                counts[index] += 1
-            outputs = {}
-            for name, slot in output_spec:
-                outputs[name] = values[slot]
-            profile.ticks += 1
-            profile.total_time_s += clock() - tick_started
-            return outputs, FlatState(next_states, next_buffers)
-
-        return step
+        return profiled_ticks(self._drive(profiled_kernels(
+            self.program, SCALAR_KERNELS, profile, clock)), profile, clock)
 
     def recording_step(self, recorder: Any):
         """A flight-recording variant of :attr:`step` feeding *recorder*.
 
-        Mirrors :meth:`_make_step` op for op (any semantic change there
-        MUST be replicated here -- the forensics tests pin identical
-        traces) and adds: at tick 0 the recorder's window is reset (a new
-        scenario owns it); after every completed tick the slot environment
-        is snapshotted into the ring; when an op raises, the failing tick,
-        op index, partial slot environment and inputs are recorded before
-        the exception propagates unchanged.  The default :attr:`step`
-        closure is untouched -- same swap-in discipline as
-        :meth:`instrumented_step`, zero overhead while recording is off.
+        The same driver over wrapped kernels: tick 0 resets the recorder's
+        window (a new scenario owns it); an op that raises records the
+        tick, op index, partial slot environment and inputs, then the
+        exception propagates unchanged; one extra kernel past the last op,
+        where every path through the program ends, snapshots each
+        completed tick into the ring.  The default :attr:`step` closure is
+        untouched -- same swap-in discipline as :meth:`instrumented_step`.
         """
-        program = self.program
-        n_ops = len(program)
-        n_slots = self.n_slots
-        n_scratch = self._scratch_count
-        input_spec = self._input_spec
-        output_spec = self._output_spec
-        convert = self._convert_state
-        absent = ABSENT
         begin_run = recorder.begin_run
         record_tick = recorder.record_tick
         record_failure = recorder.record_failure
+
+        def recorded(index: int, kernel: Kernel) -> Kernel:
+            def op(values: Any, frame: Frame) -> Optional[int]:
+                try:
+                    return kernel(values, frame)
+                except Exception as exc:  # noqa: BLE001 - re-raised
+                    record_failure(frame.tick, index, values, frame.inputs,
+                                   exc)
+                    raise
+            return op
+
+        def snapshot(values: Any, frame: Frame) -> None:
+            record_tick(frame.tick, values)
+
+        run = self._drive([recorded(index, kernel) for index, kernel
+                           in enumerate(self.kernels)] + [snapshot])
 
         def step(inputs: Mapping[str, Any], state: Any,
                  tick: int) -> Tuple[Dict[str, Any], Any]:
             if tick == 0:
                 begin_run()
-            if type(state) is not FlatState:
-                state = convert(state)
-            prev_states = state.leaf_states
-            prev_buffers = state.buffers
-            next_states = prev_states[:]
-            next_buffers = prev_buffers[:]
-            values = [absent] * n_slots
-            for name, slot in input_spec:
-                values[slot] = inputs.get(name, absent)
-            scratch: List[Any] = [None] * n_scratch if n_scratch else []
-            pc = 0
-            index = 0
-            try:
-                while pc < n_ops:
-                    index = pc
-                    op = program[pc]
-                    pc += 1
-                    code = op[0]
-                    if code == OP_RUN:
-                        _, leaf_index, fn, in_spec, out_spec, post, si = op
-                        sub_inputs = {name: values[slot]
-                                      for name, slot in in_spec}
-                        outputs, new_state = fn(sub_inputs,
-                                                prev_states[leaf_index],
-                                                tick)
-                        next_states[leaf_index] = new_state
-                        for name, slot in out_spec:
-                            values[slot] = outputs.get(name, absent)
-                        for src, dst in post:
-                            values[dst] = values[src]
-                        if si >= 0:
-                            scratch[si] = sub_inputs
-                    elif code == OP_EXPR:
-                        _, _leaf, in_spec, items, post = op
-                        env = {name: values[slot] for name, slot in in_spec}
-                        for slot, fn in items:
-                            if slot >= 0:
-                                values[slot] = fn(env)
-                            else:
-                                fn(env)
-                        for src, dst in post:
-                            values[dst] = values[src]
-                    elif code == OP_COPY:
-                        for src, dst in op[1]:
-                            values[dst] = values[src]
-                    elif code == OP_BUF_READ:
-                        for index_, dst in op[1]:
-                            values[dst] = prev_buffers[index_]
-                    elif code == OP_GATE:
-                        if not op[1](tick):
-                            pc = op[2]
-                    elif code == OP_BUF_WRITE:
-                        for src, index_ in op[1]:
-                            next_buffers[index_] = values[src]
-                    else:  # OP_CORRECT
-                        for si, leaf_index, fn, in_spec in op[1]:
-                            final = {name: values[slot]
-                                     for name, slot in in_spec}
-                            if final != scratch[si]:
-                                _, corrected = fn(final,
-                                                  prev_states[leaf_index],
-                                                  tick)
-                                next_states[leaf_index] = corrected
-            except Exception as exc:  # noqa: BLE001 - forensics, re-raised
-                record_failure(tick, index, values, inputs, exc)
-                raise
-            outputs = {}
-            for name, slot in output_spec:
-                outputs[name] = values[slot]
-            record_tick(tick, values)
-            return outputs, FlatState(next_states, next_buffers)
+            return run(inputs, state, tick)
 
         return step
 
@@ -821,32 +791,43 @@ class FlatSchedule:
         return "\n".join(f"{kind:>10}  {path}"
                          for path, kind in self.linear_steps())
 
-    def ops_summary(self) -> List[str]:
-        """One line per op of the flat program (the IR view).
+    def op_labels(self) -> List[Tuple[str, str, bool]]:
+        """Per-op descriptors for :class:`repro.obs.profile.OpProfile`:
+        ``(kind name, human label, runs-on-nested-fallback)``.
 
-        ``run`` ops name the leaf's hierarchical path and compilation kind
-        (``nested`` marks unflattenable subtrees running on the nested
-        fallback path); ``gate`` ops show their jump target.
+        ``run``/``expr`` labels name the leaf's hierarchical path and
+        compilation kind (``nested`` marks unflattenable subtrees running
+        on the nested fallback path); ``gate`` labels show the jump target.
+        The nested flag lets profiles report fallback activity without
+        re-deriving it.
         """
-        lines = []
-        for index, op in enumerate(self.program):
+        labels: List[Tuple[str, str, bool]] = []
+        for op in self.program:
             code = op[0]
-            name = _OP_NAMES[code]
+            nested = False
             if code in (OP_RUN, OP_EXPR):
                 leaf = self.leaves[op[1]]
-                detail = (f"{leaf.steps_prefix}/{leaf.component.name} "
-                          f"[{leaf.run_kind}]")
+                label = (f"{leaf.steps_prefix}/{leaf.component.name} "
+                         f"[{leaf.run_kind}]")
                 if code == OP_RUN and op[6] >= 0:
-                    detail += " (correction-tracked)"
+                    label += " (correction-tracked)"
+                nested = leaf.run_kind == "nested"
             elif code == OP_GATE:
-                detail = f"-> {op[2]} when clock silent"
+                label = f"-> {op[2]} when clock silent"
             elif code == OP_CORRECT:
-                detail = f"{len(op[1])} barrier entr" \
-                         f"{'y' if len(op[1]) == 1 else 'ies'}"
+                label = f"{len(op[1])} barrier entr" \
+                        f"{'y' if len(op[1]) == 1 else 'ies'}"
             else:
-                detail = f"{len(op[1])} pair{'s' if len(op[1]) != 1 else ''}"
-            lines.append(f"{index:>4} {name:>9}  {detail}")
-        return lines
+                label = f"{len(op[1])} pair{'s' if len(op[1]) != 1 else ''}"
+            labels.append((_OP_NAMES[code], label, nested))
+        return labels
+
+    def ops_summary(self) -> List[str]:
+        """One line per op of the flat program (the IR view): index, kind
+        and the :meth:`op_labels` label."""
+        return [f"{index:>4} {kind:>9}  {label}"
+                for index, (kind, label, _nested)
+                in enumerate(self.op_labels())]
 
     def mode_paths(self, state: Any) -> Dict[str, Any]:
         """Active mode/state of every MTD and STD, keyed by hierarchical path.

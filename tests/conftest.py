@@ -10,6 +10,17 @@ from repro.casestudy import (acceleration_scenario, build_closed_loop,
                              build_reengineered_fda, driving_scenario)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _hermetic_native_cache(tmp_path_factory):
+    """Native shared objects compile into a per-session temp dir, never
+    into the user's ``~/.cache/repro-native`` (tests that need their own
+    cache still override ``REPRO_NATIVE_CACHE`` per test)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NATIVE_CACHE",
+                     str(tmp_path_factory.mktemp("native-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def engine_project():
     """The synthetic ASCET project of the case study (session-wide)."""

@@ -22,9 +22,11 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro import obs
 from repro.core.components import ExpressionComponent
 from repro.core.clocks import every
 from repro.core.values import ABSENT, Stream
+from repro.io import trace_to_json
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
@@ -179,6 +181,32 @@ def _scalar_outcome(runner, stimuli, ticks):
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def _in_session(runner, **options):
+    """*runner* inside ``obs.session(**options)``: the simulator swaps in
+    its op-profiled or flight-recording step variant."""
+    def run(stimuli, ticks):
+        with obs.session(**options):
+            return runner(stimuli, ticks)
+    return run
+
+
+def _pinned_outcome(runner, stimuli, ticks):
+    """``(trace_to_json text, None)`` on success, ``(None, (exception type,
+    message, failing tick))`` on failure; the failing tick is the shortest
+    horizon that raises."""
+    try:
+        return trace_to_json(runner(stimuli, ticks)), None
+    except Exception as exc:  # noqa: BLE001 - the comparison IS the test
+        failing_tick = 0
+        while failing_tick < ticks:
+            try:
+                runner(stimuli, failing_tick + 1)
+            except Exception:  # noqa: BLE001
+                break
+            failing_tick += 1
+        return None, (type(exc), str(exc), failing_tick)
+
+
 def _typed_streams(trace):
     return {port: [(type(v), v) for v in stream.values()]
             for port, stream in trace.outputs.items()}
@@ -198,8 +226,20 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
     if _HAS_NATIVE:
         native = CompiledSimulator(model, backend="native")
         runners.append(("native", native.run))
+    # the swapped-in step variants: byte-identical traces, identical
+    # exception type, message and tick as the default flat step
+    batch = CompiledSimulator(model, backend="batch")
+    variants = [
+        ("flat+profile_ops", _in_session(flat.run, profile_ops=True)),
+        ("flat+flight_recording",
+         _in_session(flat.run, flight_recording=True)),
+        ("batch+profile_ops", _in_session(batch.run, profile_ops=True)),
+    ]
+    with obs.session(profile_ops=True):
+        profiled_outcomes = compile_batch(model).run_battery(battery)
 
-    for (name, stimuli, ticks), outcome in zip(battery, outcomes):
+    for (name, stimuli, ticks), outcome, profiled in zip(
+            battery, outcomes, profiled_outcomes):
         expected_trace, expected_error = _scalar_outcome(
             interpreter.run, stimuli, ticks)
         for label, runner in runners:
@@ -208,6 +248,15 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
             if expected_trace is not None:
                 assert _typed_streams(trace) == \
                     _typed_streams(expected_trace), (seed, name, label)
+        pinned = _pinned_outcome(flat.run, stimuli, ticks)
+        for label, runner in variants:
+            assert _pinned_outcome(runner, stimuli, ticks) == pinned, \
+                (seed, name, label)
+        assert profiled.error == outcome.error, (seed, name, "batch+profile")
+        assert type(profiled.exception) is type(outcome.exception)
+        if outcome.ok:
+            assert trace_to_json(profiled.trace) == \
+                trace_to_json(outcome.trace), (seed, name, "batch+profile")
 
         if expected_error is not None:
             assert not outcome.ok, (seed, name, "batch succeeded",

@@ -285,26 +285,74 @@ def test_span_records_errors():
 # -- the op-level flat profiler ----------------------------------------------
 
 
-def test_instrumented_flat_step_is_trace_equivalent():
-    model = gated_accumulator()
+def deep_gated_controller(depth):
+    """Nested gated levels, each with a delayed feedback tap (the
+    ``bench_flatten`` workload shape)."""
+    def level(d):
+        dfd = DataFlowDiagram(f"L{d}")
+        dfd.add_input("u")
+        dfd.add_output("y")
+        pre = ExpressionComponent("Pre", {"out": "in1 + 1"})
+        pre.declare_interface_from_expressions()
+        post = ExpressionComponent("Post", {"out": "in1 * 2 + in2"})
+        post.declare_interface_from_expressions()
+        dfd.add(pre, post, UnitDelay("Z", initial=0))
+        dfd.connect("u", "Pre.in1")
+        if d > 0:
+            dfd.add_subcomponent(ClockGatedComponent(
+                level(d - 1), every(2), name=f"Gated{d - 1}"))
+            dfd.connect("Pre.out", f"Gated{d - 1}.u")
+            dfd.connect(f"Gated{d - 1}.y", "Post.in1")
+        else:
+            dfd.connect("Pre.out", "Post.in1")
+        dfd.connect("Post.out", "Z.in1")
+        dfd.connect("Z.out", "Post.in2")
+        dfd.connect("Post.out", "y")
+        return dfd
+    return level(depth)
+
+
+#: model -> (builder, (gate checks, gate skips) over 20 ticks); both
+#: models' delay taps make their correction barriers fire
+_PROFILED_MODELS = {
+    "gated_accumulator": (gated_accumulator, (20, 10)),
+    "deep_gated_controller": (lambda: deep_gated_controller(2), (30, 10)),
+}
+
+
+def _op_profile(model, backend, stimuli, ticks):
+    with obs.session(profile_ops=True) as telemetry:
+        trace = CompiledSimulator(model, backend=backend).run(stimuli, ticks)
+    (profile,) = telemetry.profiles.values()
+    return trace, profile
+
+
+@pytest.mark.parametrize("backend", ["flat", "batch"])
+@pytest.mark.parametrize("model_name", sorted(_PROFILED_MODELS))
+def test_instrumented_flat_step_is_trace_equivalent(model_name, backend):
+    if backend == "batch":
+        pytest.importorskip("numpy")
+    build, (gate_checks, gate_skips) = _PROFILED_MODELS[model_name]
+    model = build()
     stimuli = {"u": [float(value) for value in range(20)]}
 
     reference = CompiledSimulator(model, backend="flat").run(stimuli, 20)
-    with obs.session(profile_ops=True) as telemetry:
-        simulator = CompiledSimulator(model, backend="flat")
-        observed = simulator.run(stimuli, 20)
+    observed, profile = _op_profile(model, backend, stimuli, 20)
     assert first_difference(reference, observed) is None
 
-    (profile,) = telemetry.profiles.values()
     assert profile.ticks == 20
     assert profile.total_time_s > 0
     assert 0 < profile.op_time_s() <= profile.total_time_s
     # every op position was visited a deterministic number of times
     assert all(count <= 20 for count in profile.counts)
     checks, skips = profile.gate_stats()
-    assert checks == 20  # one gate op, evaluated every tick
-    assert skips == 10   # every(2) silences every other tick
+    assert (checks, skips) == (gate_checks, gate_skips)  # every(2) gates
     assert max(profile.counts) == 20
+    assert profile.correction_reruns > 0
+    # gate skips and barrier re-runs land on the same ops in both backends
+    _, flat_profile = _op_profile(model, "flat", stimuli, 20)
+    assert profile.gate_skips == flat_profile.gate_skips
+    assert profile.correction_reruns == flat_profile.correction_reruns
     rendered = format_profile(profile)
     assert "op profile:" in rendered and "gates:" in rendered
 
