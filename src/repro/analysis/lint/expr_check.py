@@ -4,9 +4,10 @@ Expressions are analysed over an **interval x type x ABSENT** lattice: an
 :class:`AbstractValue` tracks which abstract kinds a value may have
 (boolean / numeric / enumeration / struct), numeric bounds when the port
 types provide them, whether the value may be :data:`~repro.core.values.ABSENT`
-at run time, and a constant when the expression is closed.  The transfer
-functions mirror :class:`~repro.core.expr_eval.ExpressionEvaluator`
-exactly -- including ABSENT propagation and short-circuit ``and``/``or``
+at run time, and a constant when the expression is closed.  Every operator
+and built-in function is transferred through its row of the operator table
+:mod:`repro.core.ops` -- constants fold through the row's Python semantics,
+kinds and bounds come from the row's abstract kind and interval transfer
 -- so every claim ("this divisor may be zero", "this guard is constant")
 is a statement about the real runtime semantics.
 
@@ -18,9 +19,9 @@ Rules discharged here:
   never hit);
 * ``expr-unknown-function`` -- a call the evaluator's function table does
   not define;
-* ``expr-div-by-zero`` -- a divisor that is provably zero (error) or whose
-  bounded interval contains zero (warning); unbounded divisors are not
-  flagged (too weak a claim to act on);
+* ``expr-div-by-zero`` -- a divisor of ``/`` or ``%`` that is provably
+  zero (error) or whose bounded interval contains zero (warning);
+  unbounded divisors are not flagged (too weak a claim to act on);
 * ``expr-type-mismatch`` -- operators whose operand kinds cannot combine
   (arithmetic on enumerations, ordering enums against numbers);
 * ``expr-output-type`` / ``expr-undeclared-output`` -- expression
@@ -37,9 +38,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ...core.components import Component, ExpressionComponent
-from ...core.expr_eval import BUILTIN_FUNCTIONS
 from ...core.expressions import (BinaryOp, Call, Conditional, Expression,
                                  Literal, Present, UnaryOp, Variable)
+from ...core.ops import (BINARY_OPERATORS, BUILTIN_FUNCTIONS, FUNCTIONS,
+                         UNARY_OPERATORS, Operator)
 from ...core.types import (AnyType, BoolType, EnumType, FloatType, IntType,
                            StructType, Type)
 from ...core.validation import Severity
@@ -88,7 +90,6 @@ class AbstractValue:
 
 TOP = AbstractValue(may_absent=True)
 BOOL_VALUE = AbstractValue(kinds=frozenset({"bool"}), low=0, high=1)
-NUM_VALUE = AbstractValue(kinds=frozenset({"num"}))
 
 
 def abstract_of_type(port_type: Type,
@@ -209,119 +210,24 @@ class _Analyzer:
 
     def _visit_unary(self, expression: UnaryOp) -> AbstractValue:
         operand = self.visit(expression.operand)
-        if expression.op == "-":
-            if not operand.is_top and not (operand.kinds & _NUMERIC):
-                self._warn(
-                    "expr-type-mismatch",
-                    f"unary '-' applied to a non-numeric operand in "
-                    f"{expression.to_source()}")
-            low = None if operand.high is None else -operand.high
-            high = None if operand.low is None else -operand.low
-            const = _NO_CONST
-            if operand.const is not _NO_CONST \
-                    and isinstance(operand.const, (int, float)):
-                const = -operand.const
-            return AbstractValue(frozenset({"num"}), low, high,
-                                 operand.may_absent, const)
-        if expression.op == "not":
-            const = _NO_CONST
-            if operand.const is not _NO_CONST:
-                const = not operand.const
-            return AbstractValue(frozenset({"bool"}), 0, 1,
-                                 operand.may_absent, const)
-        return replace(TOP, may_absent=operand.may_absent)
+        row = UNARY_OPERATORS.get(expression.op)
+        if row is None:
+            return replace(TOP, may_absent=operand.may_absent)
+        return self._apply(row, expression, [operand])
 
     def _visit_binary(self, expression: BinaryOp) -> AbstractValue:
-        op = expression.op
-        if op in ("and", "or"):
-            left = self.visit(expression.left)
-            right = self.visit(expression.right)
-            const = _NO_CONST
-            if left.const is not _NO_CONST:
-                if op == "and" and not left.const:
-                    const = False
-                elif op == "or" and left.const:
-                    const = True
-                elif right.const is not _NO_CONST:
-                    const = bool(right.const) if op == "and" \
-                        else bool(right.const)
-            may_absent = left.may_absent or right.may_absent
-            return AbstractValue(frozenset({"bool"}), 0, 1, may_absent,
-                                 const)
-
         left = self.visit(expression.left)
         right = self.visit(expression.right)
-        may_absent = left.may_absent or right.may_absent
-
-        if op == "/":
-            return self._visit_division(expression, left, right, may_absent)
-        if op in ("+", "-", "*", "%"):
-            for side, name in ((left, "left"), (right, "right")):
-                if not side.is_top and not (side.kinds & _NUMERIC):
-                    self._warn(
-                        "expr-type-mismatch",
-                        f"arithmetic {op!r} applied to a non-numeric "
-                        f"{name} operand in {expression.to_source()}")
-            low, high = _arith_bounds(op, left, right)
-            const = _const_binary(op, left, right)
-            return AbstractValue(frozenset({"num"}), low, high, may_absent,
-                                 const)
-        if op in ("<", "<=", ">", ">="):
-            if not _orderable(left, right):
-                self._warn(
-                    "expr-type-mismatch",
-                    f"ordering {op!r} between incomparable operand types "
-                    f"in {expression.to_source()} (raises at evaluation "
-                    f"time when both operands are present)")
-            const = _const_binary(op, left, right)
-            if const is _NO_CONST:
-                const = _interval_comparison(op, left, right)
-            return AbstractValue(frozenset({"bool"}), 0, 1, may_absent,
-                                 const)
-        if op in ("==", "!="):
-            const = _const_binary(op, left, right)
-            if const is _NO_CONST and not (left.kinds & right.kinds):
-                # disjoint kinds: equality is decided without an error
-                const = (op == "!=")
-            return AbstractValue(frozenset({"bool"}), 0, 1, may_absent,
-                                 const)
-        return replace(TOP, may_absent=may_absent)
-
-    def _visit_division(self, expression: BinaryOp, left: AbstractValue,
-                        right: AbstractValue,
-                        may_absent: bool) -> AbstractValue:
-        if right.const is not _NO_CONST \
-                and isinstance(right.const, (int, float)) \
-                and right.const == 0:
-            self._error(
-                "expr-div-by-zero",
-                f"division by zero: the divisor of "
-                f"{expression.to_source()} is constant 0",
-                divisor=repr(right.const))
-        elif right.const is _NO_CONST and right.low is not None \
-                and right.high is not None and right.low <= 0 <= right.high:
-            self._warn(
-                "expr-div-by-zero",
-                f"possible division by zero in {expression.to_source()}: "
-                f"the divisor ranges over [{right.low}..{right.high}] "
-                f"which contains 0",
-                low=right.low, high=right.high)
-        for side, name in ((left, "left"), (right, "right")):
-            if not side.is_top and not (side.kinds & _NUMERIC):
-                self._warn(
-                    "expr-type-mismatch",
-                    f"division applied to a non-numeric {name} operand "
-                    f"in {expression.to_source()}")
-        const = _NO_CONST
-        if left.const is not _NO_CONST and right.const is not _NO_CONST \
-                and isinstance(right.const, (int, float)) \
-                and right.const != 0:
-            try:
-                const = _const_eval("/", left.const, right.const)
-            except Exception:  # noqa: BLE001 - stay abstract on failure
-                const = _NO_CONST
-        return AbstractValue(frozenset({"num"}), None, None, may_absent,
-                             const)
+        row = BINARY_OPERATORS.get(expression.op)
+        if row is None:
+            return replace(TOP, may_absent=left.may_absent
+                           or right.may_absent)
+        if row.settles is not None and left.const is not _NO_CONST \
+                and bool(left.const) is row.settles:
+            # the left operand settles the result; the right one never runs
+            return replace(abstract_of_value(row.settles),
+                           may_absent=left.may_absent or right.may_absent)
+        return self._apply(row, expression, [left, right])
 
     def _visit_call(self, expression: Call) -> AbstractValue:
         arguments = [self.visit(arg) for arg in expression.arguments]
@@ -335,102 +241,79 @@ class _Analyzer:
                 f"{sorted(self.functions)})",
                 function=expression.function)
             return replace(TOP, may_absent=may_absent)
-        if all(arg.const is not _NO_CONST for arg in arguments):
+        row = FUNCTIONS.get(expression.function)
+        if row is None or function is not row.apply:
+            # a custom function: nothing is known about its result
+            return replace(TOP, may_absent=may_absent)
+        return self._apply(row, expression, arguments)
+
+    def _apply(self, row: Operator, expression: Expression,
+               operands: List[AbstractValue]) -> AbstractValue:
+        """Transfer *operands* through one operator-table row."""
+        self._check_operands(row, expression, operands)
+        if row.divisor:
+            self._check_divisor(expression, operands[1])
+        low, high = row.interval(*operands) if row.interval else (None, None)
+        const = _NO_CONST
+        if all(x.const is not _NO_CONST for x in operands):
             try:
-                value = function(*[arg.const for arg in arguments])
+                const = row.apply(*[x.const for x in operands])
             except Exception:  # noqa: BLE001 - stay abstract on failure
-                pass
-            else:
-                return replace(abstract_of_value(value),
-                               may_absent=may_absent)
-        kinds = frozenset({"num"}) if expression.function != "present" \
-            else frozenset({"bool"})
-        low = high = None
-        if expression.function == "abs":
-            low = 0
-        elif expression.function in ("min", "max") and arguments:
-            lows = [arg.low for arg in arguments]
-            highs = [arg.high for arg in arguments]
-            if all(bound is not None for bound in lows):
-                low = min(lows) if expression.function == "min" \
-                    else max(lows)
-            if all(bound is not None for bound in highs):
-                high = min(highs) if expression.function == "min" \
-                    else max(highs)
-        return AbstractValue(kinds, low, high, may_absent, _NO_CONST)
+                const = _NO_CONST
+        if const is _NO_CONST and row.kind == BOOL_VALUE.kinds \
+                and low is not None and low == high:
+            const = bool(low)  # the interval transfer decided the test
+        if isinstance(const, (int, float)):
+            low = high = const
+        return AbstractValue(row.kind, low, high,
+                             any(x.may_absent for x in operands), const)
+
+    def _check_operands(self, row: Operator, expression: Expression,
+                        operands: List[AbstractValue]) -> None:
+        if row.operands == "ordered":
+            if not _orderable(*operands):
+                self._warn(
+                    "expr-type-mismatch",
+                    f"ordering {row.symbol!r} between incomparable operand "
+                    f"types in {expression.to_source()} (raises at "
+                    f"evaluation time when both operands are present)")
+            return
+        if row.operands != "numeric":
+            return
+        sides = ("operand",) if len(operands) == 1 \
+            else ("left operand", "right operand")
+        for side, name in zip(operands, sides):
+            if not side.is_top and not (side.kinds & _NUMERIC):
+                self._warn(
+                    "expr-type-mismatch",
+                    f"{row.symbol!r} applied to a non-numeric {name} in "
+                    f"{expression.to_source()}")
+
+    def _check_divisor(self, expression: Expression,
+                       divisor: AbstractValue) -> None:
+        if divisor.const is not _NO_CONST \
+                and isinstance(divisor.const, (int, float)) \
+                and divisor.const == 0:
+            self._error(
+                "expr-div-by-zero",
+                f"division by zero: the divisor of "
+                f"{expression.to_source()} is constant 0",
+                divisor=repr(divisor.const))
+        elif divisor.const is _NO_CONST and divisor.low is not None \
+                and divisor.high is not None \
+                and divisor.low <= 0 <= divisor.high:
+            self._warn(
+                "expr-div-by-zero",
+                f"possible division by zero in {expression.to_source()}: "
+                f"the divisor ranges over [{divisor.low}..{divisor.high}] "
+                f"which contains 0",
+                low=divisor.low, high=divisor.high)
 
 
 def _orderable(left: AbstractValue, right: AbstractValue) -> bool:
     if (left.kinds & _NUMERIC) and (right.kinds & _NUMERIC):
         return True
     return bool("enum" in left.kinds and "enum" in right.kinds)
-
-
-def _arith_bounds(op: str, left: AbstractValue,
-                  right: AbstractValue) -> Tuple[Optional[float],
-                                                 Optional[float]]:
-    ll, lh, rl, rh = left.low, left.high, right.low, right.high
-    if op == "+":
-        low = None if ll is None or rl is None else ll + rl
-        high = None if lh is None or rh is None else lh + rh
-        return low, high
-    if op == "-":
-        low = None if ll is None or rh is None else ll - rh
-        high = None if lh is None or rl is None else lh - rl
-        return low, high
-    if op == "*":
-        if None in (ll, lh, rl, rh):
-            return None, None
-        products = [ll * rl, ll * rh, lh * rl, lh * rh]
-        return min(products), max(products)
-    return None, None  # '%': bounds omitted (sign semantics are subtle)
-
-
-def _const_eval(op: str, left: Any, right: Any) -> Any:
-    from ...core.expr_eval import _ARITHMETIC_OPS
-    if op == "/":
-        if isinstance(left, int) and isinstance(right, int) \
-                and left % right == 0:
-            return left // right
-        return left / right
-    return _ARITHMETIC_OPS[op](left, right)
-
-
-def _const_binary(op: str, left: AbstractValue,
-                  right: AbstractValue) -> Any:
-    if left.const is _NO_CONST or right.const is _NO_CONST:
-        return _NO_CONST
-    try:
-        return _const_eval(op, left.const, right.const)
-    except Exception:  # noqa: BLE001 - stay abstract on failure
-        return _NO_CONST
-
-
-def _interval_comparison(op: str, left: AbstractValue,
-                         right: AbstractValue) -> Any:
-    """Decide a comparison from the operand intervals, when possible."""
-    ll, lh, rl, rh = left.low, left.high, right.low, right.high
-    if op == "<":
-        if lh is not None and rl is not None and lh < rl:
-            return True
-        if ll is not None and rh is not None and ll >= rh:
-            return False
-    elif op == "<=":
-        if lh is not None and rl is not None and lh <= rl:
-            return True
-        if ll is not None and rh is not None and ll > rh:
-            return False
-    elif op == ">":
-        if ll is not None and rh is not None and ll > rh:
-            return True
-        if lh is not None and rl is not None and lh <= rl:
-            return False
-    elif op == ">=":
-        if ll is not None and rh is not None and ll >= rh:
-            return True
-        if lh is not None and rl is not None and lh < rl:
-            return False
-    return _NO_CONST
 
 
 def check_expression(expression: Expression,

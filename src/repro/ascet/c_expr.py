@@ -11,48 +11,33 @@ Two consumers, two fidelity levels:
 * :class:`TaggedEmitter` -- the native simulation backend's translation
   (:mod:`repro.simulation.native`): one expression becomes a C *statement
   sequence* over tagged values (ABSENT / int64 / double / bool / opaque
-  object), replicating the Python evaluator semantics of
-  :mod:`repro.core.expr_compile` **exactly** -- ABSENT propagation,
-  short-circuit ``and``/``or`` returning genuine bools, int-exact
-  division, Python's sign-of-divisor modulo -- or bailing out to a
-  caller-supplied label whenever exact replication in int64/double is not
-  possible (overflow, mixed int/float comparisons beyond 2^53, opaque
-  operands, error paths that must raise the interpreter's exceptions).
-  The bail-out contract is what makes the native backend safe: the C fast
-  path either produces the closure-identical result or jumps to a label
-  where the caller re-runs the op through the original Python closures.
+  object) that replicates the Python semantics **exactly** or jumps to a
+  caller-supplied bail label, where the caller re-runs the op through the
+  original Python closures.  Expressions it cannot lower at all raise
+  :class:`~repro.core.errors.CodeGenError` at emission time.
 
-:func:`lowerable_expression` is the static half of that contract: it
-accepts exactly the expression shapes :class:`TaggedEmitter` can emit.
+Both read the operator table :mod:`repro.core.ops`: a row's
+:attr:`~repro.core.ops.Operator.c` is its deployed spelling and its
+:attr:`~repro.core.ops.Operator.lowering` names the tagged template below.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import CodeGenError
-from ..core.expr_eval import BUILTIN_FUNCTIONS
 from ..core.expressions import (BinaryOp, Call, Conditional, Expression,
                                 Literal, Present, UnaryOp, Variable)
 from ..core.impl_types import (BOOL8, FixedPointType, ImplementationType,
                                ImplEnumType, MachineIntType)
+from ..core.ops import (BINARY_OPERATORS, FUNCTIONS, UNARY_OPERATORS,
+                        Operator, function_table)
 from ..core.types import BoolType, EnumType, FloatType, IntType, Type
 
 # --------------------------------------------------------------------------
 # deployed-semantics translation (ASCET-SD generator)
 # --------------------------------------------------------------------------
-
-_C_OPERATORS = {"and": "&&", "or": "||", "==": "==", "!=": "!=", "<": "<",
-                "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-",
-                "*": "*", "/": "/", "%": "%"}
-
-_C_FUNCTIONS = {"abs": "automode_abs", "min": "automode_min",
-                "max": "automode_max", "limit": "automode_limit",
-                "sqrt": "sqrtf", "floor": "floorf", "ceil": "ceilf",
-                "round": "roundf", "sign": "automode_sign",
-                "interpolate": "automode_interp"}
-
 
 def expression_to_c(expression: Expression) -> str:
     """Translate a base-language expression to C source."""
@@ -70,15 +55,10 @@ def expression_to_c(expression: Expression) -> str:
     if isinstance(expression, Present):
         return f"msg_present({expression.channel})"
     if isinstance(expression, UnaryOp):
-        operand = expression_to_c(expression.operand)
-        if expression.op == "not":
-            return f"(!{operand})"
-        return f"({expression.op}{operand})"
+        operator = _c_operator(UNARY_OPERATORS, expression.op)
+        return f"({operator}{expression_to_c(expression.operand)})"
     if isinstance(expression, BinaryOp):
-        try:
-            operator = _C_OPERATORS[expression.op]
-        except KeyError as exc:
-            raise CodeGenError(f"no C operator for {expression.op!r}") from exc
+        operator = _c_operator(BINARY_OPERATORS, expression.op)
         return (f"({expression_to_c(expression.left)} {operator} "
                 f"{expression_to_c(expression.right)})")
     if isinstance(expression, Conditional):
@@ -86,10 +66,18 @@ def expression_to_c(expression: Expression) -> str:
                 f"{expression_to_c(expression.then_branch)} : "
                 f"{expression_to_c(expression.else_branch)})")
     if isinstance(expression, Call):
-        function = _C_FUNCTIONS.get(expression.function, expression.function)
+        row = FUNCTIONS.get(expression.function)
+        function = expression.function if row is None else row.c
         arguments = ", ".join(expression_to_c(arg) for arg in expression.arguments)
         return f"{function}({arguments})"
     raise CodeGenError(f"cannot translate expression node {expression!r}")
+
+
+def _c_operator(table: Mapping[str, Operator], symbol: str) -> str:
+    try:
+        return table[symbol].c
+    except KeyError:
+        raise CodeGenError(f"no C operator for {symbol!r}") from None
 
 
 def c_type_of(impl_type: Optional[ImplementationType], abstract: Type) -> str:
@@ -131,67 +119,6 @@ _EXACT_DOUBLE = 2 ** 53
 #: C spelling of INT64_MIN (the plain literal overflows in C).
 _C_INT64_MIN = "(-9223372036854775807LL - 1LL)"
 
-#: Built-in calls the tagged emitter can lower, with their arities.
-LOWERABLE_CALLS: Dict[str, int] = {"abs": 1, "min": 2, "max": 2}
-
-_LOWERABLE_BINARY = frozenset(_C_OPERATORS)
-_ORDERINGS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=",
-              "==": "==", "!=": "!="}
-
-
-def lowerable_expression(expression: Expression,
-                         input_names: Any,
-                         functions: Optional[Mapping[str, Callable[..., Any]]]
-                         = None) -> bool:
-    """True when :class:`TaggedEmitter` can translate *expression* exactly.
-
-    *input_names* is the set of environment names the surrounding op
-    provides (a ``Variable`` outside it would raise ``unknown name`` at run
-    time -- only the Python closure knows the exact message, so such
-    expressions stay on the fallback path).  *functions* is the owning
-    evaluator's function table: a lowerable call must resolve to the
-    *built-in* ``abs``/``min``/``max`` -- a same-named custom override
-    forces the fallback path.
-    """
-    table: Mapping[str, Callable[..., Any]] = BUILTIN_FUNCTIONS
-    if functions:
-        merged = dict(BUILTIN_FUNCTIONS)
-        merged.update(functions)
-        table = merged
-    names = set(input_names)
-
-    def check(node: Expression) -> bool:
-        if isinstance(node, Literal):
-            value = node.value
-            if type(value) is bool or type(value) is float:
-                return True
-            if type(value) is int:
-                return _INT64_MIN <= value <= _INT64_MAX
-            return False
-        if isinstance(node, Variable):
-            return node.name in names
-        if isinstance(node, Present):
-            return True
-        if isinstance(node, UnaryOp):
-            return node.op in ("-", "not") and check(node.operand)
-        if isinstance(node, BinaryOp):
-            return (node.op in _LOWERABLE_BINARY and check(node.left)
-                    and check(node.right))
-        if isinstance(node, Conditional):
-            return (check(node.condition) and check(node.then_branch)
-                    and check(node.else_branch))
-        if isinstance(node, Call):
-            arity = LOWERABLE_CALLS.get(node.function)
-            if arity is None or len(node.arguments) != arity:
-                return False
-            if table.get(node.function) is not BUILTIN_FUNCTIONS.get(
-                    node.function):
-                return False
-            return all(check(arg) for arg in node.arguments)
-        return False
-
-    return check(expression)
-
 
 def c_double_literal(value: float) -> str:
     """A C literal reproducing *value* bit-exactly (hex float form)."""
@@ -211,16 +138,25 @@ class TaggedEmitter:
     every run-time situation the C fast path cannot replicate exactly
     (the caller re-runs the whole op through the Python closures there,
     so partial results must never have been committed -- the emitter only
-    writes temps, never slots).
+    writes temps, never slots).  *functions* is the owning evaluator's
+    function table: a call lowers only when it resolves to the built-in
+    row, not to a same-named custom function.
 
     :meth:`emit` returns the temp prefix holding the expression's tagged
     result; declarations accumulate in :attr:`decls` and must be placed
-    ahead of :attr:`lines` in the enclosing block.
+    ahead of :attr:`lines` in the enclosing block.  It raises
+    :class:`~repro.core.errors.CodeGenError` for anything it cannot lower
+    exactly: an operator or built-in without a tagged template, a wrong
+    arity, a shadowed built-in, a literal outside int64/double/bool or a
+    name *inputs* does not bind.
     """
 
-    def __init__(self, inputs: Mapping[str, str], bail_label: str):
+    def __init__(self, inputs: Mapping[str, str], bail_label: str,
+                 functions: Optional[Mapping[str, Callable[..., Any]]]
+                 = None):
         self.inputs = dict(inputs)
         self.bail = bail_label
+        self.functions = function_table(functions)
         self.decls: List[str] = []
         self.lines: List[str] = []
         self._count = 0
@@ -249,6 +185,11 @@ class TaggedEmitter:
         return (f"{dst}_t = {src}_t; {dst}_i = {src}_i; "
                 f"{dst}_f = {src}_f;")
 
+    @staticmethod
+    def _beyond_exact_double(value: str) -> str:
+        return (f"{value} > {_EXACT_DOUBLE}LL || "
+                f"{value} < -{_EXACT_DOUBLE}LL")
+
     def _sub_block(self, node: Expression) -> Tuple[str, List[str]]:
         """Emit *node* into a detached statement list (lazy evaluation)."""
         saved = self.lines
@@ -257,6 +198,27 @@ class TaggedEmitter:
         block = self.lines
         self.lines = saved
         return prefix, block
+
+    def _operands(self, row: Operator, operands: Sequence[Expression],
+                  count: int) -> List[str]:
+        """Emit *count* eager operands, then the result temp."""
+        if len(operands) != count:
+            raise CodeGenError(
+                f"cannot lower {row.symbol!r} with {len(operands)} "
+                f"operand(s); its tagged template takes {count}")
+        prefixes = [self.emit(operand) for operand in operands]
+        return prefixes + [self._temp()]
+
+    def _absent_or_bail(self, *prefixes: str) -> List[str]:
+        """The guard opening every eager template: an absent operand makes
+        the result absent, an opaque one bails."""
+        *operands, r = prefixes
+        return [
+            f"if ({' || '.join(f'{p}_t == 0' for p in operands)}) "
+            f"{{ {r}_t = 0; }}",
+            f"else if ({' || '.join(f'{p}_t == 4' for p in operands)}) "
+            f"goto {self.bail};",
+        ]
 
     # -- emission ----------------------------------------------------------
 
@@ -269,7 +231,7 @@ class TaggedEmitter:
             r = self._temp()
             if type(value) is bool:
                 out.append(f"{r}_t = 3; {r}_i = {1 if value else 0};")
-            elif type(value) is int:
+            elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
                 literal = (_C_INT64_MIN if value == _INT64_MIN
                            else f"{value}LL")
                 out.append(f"{r}_t = 1; {r}_i = {literal};")
@@ -285,8 +247,7 @@ class TaggedEmitter:
                 return self.inputs[node.name]
             except KeyError:
                 raise CodeGenError(
-                    f"variable {node.name!r} not in the op environment "
-                    "(lowerable_expression should have rejected this)"
+                    f"variable {node.name!r} not in the op environment"
                     ) from None
 
         if isinstance(node, Present):
@@ -300,30 +261,12 @@ class TaggedEmitter:
             return r
 
         if isinstance(node, UnaryOp):
-            x = self.emit(node.operand)
-            r = self._temp()
-            if node.op == "-":
-                out.extend([
-                    f"if ({x}_t == 0) {{ {r}_t = 0; }}",
-                    f"else if ({x}_t == 4) goto {bail};",
-                    f"else if ({x}_t == 2) {{ {r}_t = 2; {r}_f = -{x}_f; }}",
-                    f"else {{",
-                    f"    if ({x}_i == {_C_INT64_MIN}) goto {bail};",
-                    f"    {r}_t = 1; {r}_i = -{x}_i;",
-                    f"}}",
-                ])
-                return r
-            if node.op == "not":
-                out.extend([
-                    f"if ({x}_t == 0) {{ {r}_t = 0; }}",
-                    f"else if ({x}_t == 4) goto {bail};",
-                    f"else {{ {r}_t = 3; {r}_i = !{self._truthy(x)}; }}",
-                ])
-                return r
-            raise CodeGenError(f"cannot lower unary operator {node.op!r}")
+            return self._lower(UNARY_OPERATORS.get(node.op), node.op,
+                               (node.operand,))
 
         if isinstance(node, BinaryOp):
-            return self._emit_binary(node)
+            return self._lower(BINARY_OPERATORS.get(node.op), node.op,
+                               (node.left, node.right))
 
         if isinstance(node, Conditional):
             c = self.emit(node.condition)
@@ -342,175 +285,188 @@ class TaggedEmitter:
             return r
 
         if isinstance(node, Call):
-            return self._emit_call(node)
+            row = FUNCTIONS.get(node.function)
+            if row is not None \
+                    and self.functions.get(node.function) is not row.apply:
+                raise CodeGenError(
+                    f"built-in {node.function!r} is shadowed by a custom "
+                    f"function")
+            return self._lower(row, node.function, node.arguments)
 
         raise CodeGenError(f"cannot lower expression node {node!r}")
 
-    # -- binary operators --------------------------------------------------
+    def _lower(self, row: Optional[Operator], symbol: str,
+               operands: Sequence[Expression]) -> str:
+        if row is None or not row.lowering:
+            raise CodeGenError(f"no tagged C template for {symbol!r}")
+        template, *parameters = row.lowering
+        return getattr(self, f"_lower_{template}")(row, operands,
+                                                   *parameters)
 
-    def _emit_binary(self, node: BinaryOp) -> str:
+    # -- templates (named by the rows' ``lowering``) -------------------------
+
+    def _lower_negating(self, row: Operator, operands: Sequence[Expression],
+                        on_float: str, on_int: str) -> str:
+        # one operand, type-preserving; negating INT64_MIN overflows int64
+        # (Python ints are unbounded), so it takes the fallback path
+        x, r = self._operands(row, operands, 1)
+        self.lines.extend([
+            f"if ({x}_t == 0) {{ {r}_t = 0; }}",
+            f"else if ({x}_t == 4) goto {self.bail};",
+            f"else if ({x}_t == 2) {{ {r}_t = 2; "
+            f"{r}_f = {on_float.format(x=x)}; }}",
+            f"else {{",
+            f"    if ({x}_i == {_C_INT64_MIN}) goto {self.bail};",
+            f"    {r}_t = 1; {r}_i = {on_int.format(x=x)};",
+            f"}}",
+        ])
+        return r
+
+    def _lower_not(self, row: Operator,
+                   operands: Sequence[Expression]) -> str:
+        x, r = self._operands(row, operands, 1)
+        self.lines.extend([
+            f"if ({x}_t == 0) {{ {r}_t = 0; }}",
+            f"else if ({x}_t == 4) goto {self.bail};",
+            f"else {{ {r}_t = 3; {r}_i = !{self._truthy(x)}; }}",
+        ])
+        return r
+
+    def _lower_short_circuit(self, row: Operator,
+                             operands: Sequence[Expression]) -> str:
+        # the right operand is a lazy sub-block, entered only on lanes the
+        # left operand does not settle
+        left, right = operands
         out = self.lines
         bail = self.bail
-        op = node.op
-
-        if op in ("and", "or"):
-            x = self.emit(node.left)
-            r = self._temp()
-            yp, yblock = self._sub_block(node.right)
-            is_and = op == "and"
-            short = "0" if is_and else "1"
-            test = (f"!{self._truthy(x)}" if is_and else self._truthy(x))
-            out.append(f"if ({x}_t == 0) {{ {r}_t = 0; }}")
-            out.append(f"else if ({x}_t == 4) goto {bail};")
-            out.append(f"else if ({test}) {{ {r}_t = 3; {r}_i = {short}; }}")
-            out.append("else {")
-            out.extend(f"    {line}" for line in yblock)
-            out.append(f"    if ({yp}_t == 0) {{ {r}_t = 0; }}")
-            out.append(f"    else if ({yp}_t == 4) goto {bail};")
-            out.append(f"    else {{ {r}_t = 3; "
-                       f"{r}_i = {self._truthy(yp)}; }}")
-            out.append("}")
-            return r
-
-        x = self.emit(node.left)
-        y = self.emit(node.right)
+        x = self.emit(left)
         r = self._temp()
-        header = [
-            f"if ({x}_t == 0 || {y}_t == 0) {{ {r}_t = 0; }}",
-            f"else if ({x}_t == 4 || {y}_t == 4) goto {bail};",
-        ]
+        yp, yblock = self._sub_block(right)
+        test = self._truthy(x) if row.settles else f"!{self._truthy(x)}"
+        out.append(f"if ({x}_t == 0) {{ {r}_t = 0; }}")
+        out.append(f"else if ({x}_t == 4) goto {bail};")
+        out.append(f"else if ({test}) {{ {r}_t = 3; "
+                   f"{r}_i = {int(row.settles)}; }}")
+        out.append("else {")
+        out.extend(f"    {line}" for line in yblock)
+        out.append(f"    if ({yp}_t == 0) {{ {r}_t = 0; }}")
+        out.append(f"    else if ({yp}_t == 4) goto {bail};")
+        out.append(f"    else {{ {r}_t = 3; "
+                   f"{r}_i = {self._truthy(yp)}; }}")
+        out.append("}")
+        return r
 
-        if op in ("+", "-", "*"):
-            builtin = {"+": "add", "-": "sub", "*": "mul"}[op]
-            out.extend(header)
-            out.extend([
-                f"else if ({x}_t != 2 && {y}_t != 2) {{",
-                f"    long long {r}_o;",
-                f"    if (__builtin_{builtin}_overflow({x}_i, {y}_i, "
-                f"&{r}_o)) goto {bail};",
-                f"    {r}_t = 1; {r}_i = {r}_o;",
-                f"}} else {{",
-                f"    {r}_t = 2; {r}_f = {self._num(x)} {op} {self._num(y)};",
-                f"}}",
-            ])
-            return r
+    def _lower_checked(self, row: Operator, operands: Sequence[Expression],
+                       builtin: str) -> str:
+        # int64 arithmetic through the overflow builtins; an overflowing
+        # result (Python ints are unbounded) takes the fallback path
+        x, y, r = self._operands(row, operands, 2)
+        self.lines.extend(self._absent_or_bail(x, y, r))
+        self.lines.extend([
+            f"else if ({x}_t != 2 && {y}_t != 2) {{",
+            f"    long long {r}_o;",
+            f"    if (__builtin_{builtin}_overflow({x}_i, {y}_i, "
+            f"&{r}_o)) goto {self.bail};",
+            f"    {r}_t = 1; {r}_i = {r}_o;",
+            f"}} else {{",
+            f"    {r}_t = 2; "
+            f"{r}_f = {self._num(x)} {row.c} {self._num(y)};",
+            f"}}",
+        ])
+        return r
 
-        if op == "%":
-            # Python modulo: sign follows the divisor.  Float operands and
-            # a zero divisor (ZeroDivisionError) take the fallback path.
-            out.extend(header)
-            out.extend([
-                f"else if ({x}_t == 2 || {y}_t == 2) goto {bail};",
-                f"else {{",
-                f"    if ({y}_i == 0) goto {bail};",
-                f"    if ({x}_i == {_C_INT64_MIN} && {y}_i == -1LL) "
-                f"{{ {r}_t = 1; {r}_i = 0; }}",
-                f"    else {{",
-                f"        long long {r}_m = {x}_i % {y}_i;",
-                f"        if ({r}_m != 0 && (({r}_m < 0) != ({y}_i < 0))) "
-                f"{r}_m += {y}_i;",
-                f"        {r}_t = 1; {r}_i = {r}_m;",
-                f"    }}",
-                f"}}",
-            ])
-            return r
+    def _lower_modulo(self, row: Operator,
+                      operands: Sequence[Expression]) -> str:
+        # Python modulo: sign follows the divisor.  Float operands and a
+        # zero divisor (ZeroDivisionError) take the fallback path.
+        x, y, r = self._operands(row, operands, 2)
+        self.lines.extend(self._absent_or_bail(x, y, r))
+        self.lines.extend([
+            f"else if ({x}_t == 2 || {y}_t == 2) goto {self.bail};",
+            f"else {{",
+            f"    if ({y}_i == 0) goto {self.bail};",
+            f"    if ({x}_i == {_C_INT64_MIN} && {y}_i == -1LL) "
+            f"{{ {r}_t = 1; {r}_i = 0; }}",
+            f"    else {{",
+            f"        long long {r}_m = {x}_i % {y}_i;",
+            f"        if ({r}_m != 0 && (({r}_m < 0) != ({y}_i < 0))) "
+            f"{r}_m += {y}_i;",
+            f"        {r}_t = 1; {r}_i = {r}_m;",
+            f"    }}",
+            f"}}",
+        ])
+        return r
 
-        if op == "/":
-            # int-exact division; inexact int/int decays to double only
-            # when both operands convert exactly (|v| <= 2^53); a zero
-            # divisor raises ExpressionEvalError on the fallback path.
-            out.extend(header)
-            out.extend([
-                f"else if ({x}_t != 2 && {y}_t != 2) {{",
-                f"    if ({y}_i == 0) goto {bail};",
-                f"    if ({x}_i == {_C_INT64_MIN} && {y}_i == -1LL) "
-                f"goto {bail};",
-                f"    if ({x}_i % {y}_i == 0) "
-                f"{{ {r}_t = 1; {r}_i = {x}_i / {y}_i; }}",
-                f"    else {{",
-                f"        if ({x}_i > {_EXACT_DOUBLE}LL || "
-                f"{x}_i < -{_EXACT_DOUBLE}LL || "
-                f"{y}_i > {_EXACT_DOUBLE}LL || "
-                f"{y}_i < -{_EXACT_DOUBLE}LL) goto {bail};",
-                f"        {r}_t = 2; "
-                f"{r}_f = (double){x}_i / (double){y}_i;",
-                f"    }}",
-                f"}} else {{",
-                f"    double {r}_d = {self._num(y)};",
-                f"    if ({r}_d == 0.0) goto {bail};",
-                f"    {r}_t = 2; {r}_f = {self._num(x)} / {r}_d;",
-                f"}}",
-            ])
-            return r
+    def _lower_quotient(self, row: Operator,
+                      operands: Sequence[Expression]) -> str:
+        # int-exact division; inexact int/int decays to double only when
+        # both operands convert exactly (|v| <= 2^53); a zero divisor
+        # raises ExpressionEvalError on the fallback path.
+        x, y, r = self._operands(row, operands, 2)
+        self.lines.extend(self._absent_or_bail(x, y, r))
+        self.lines.extend([
+            f"else if ({x}_t != 2 && {y}_t != 2) {{",
+            f"    if ({y}_i == 0) goto {self.bail};",
+            f"    if ({x}_i == {_C_INT64_MIN} && {y}_i == -1LL) "
+            f"goto {self.bail};",
+            f"    if ({x}_i % {y}_i == 0) "
+            f"{{ {r}_t = 1; {r}_i = {x}_i / {y}_i; }}",
+            f"    else {{",
+            f"        if ({self._beyond_exact_double(f'{x}_i')} || "
+            f"{self._beyond_exact_double(f'{y}_i')}) goto {self.bail};",
+            f"        {r}_t = 2; "
+            f"{r}_f = (double){x}_i / (double){y}_i;",
+            f"    }}",
+            f"}} else {{",
+            f"    double {r}_d = {self._num(y)};",
+            f"    if ({r}_d == 0.0) goto {self.bail};",
+            f"    {r}_t = 2; {r}_f = {self._num(x)} / {r}_d;",
+            f"}}",
+        ])
+        return r
 
-        if op in _ORDERINGS:
-            cop = _ORDERINGS[op]
-            out.extend(header)
-            out.extend([
-                f"else if ({x}_t != 2 && {y}_t != 2) "
-                f"{{ {r}_t = 3; {r}_i = ({x}_i {cop} {y}_i); }}",
-                f"else if ({x}_t == 2 && {y}_t == 2) "
-                f"{{ {r}_t = 3; {r}_i = ({x}_f {cop} {y}_f); }}",
-                f"else {{",
-                f"    long long {r}_z = ({x}_t == 2) ? {y}_i : {x}_i;",
-                f"    if ({r}_z > {_EXACT_DOUBLE}LL || "
-                f"{r}_z < -{_EXACT_DOUBLE}LL) goto {bail};",
-                f"    {r}_t = 3; "
-                f"{r}_i = ({self._num(x)} {cop} {self._num(y)});",
-                f"}}",
-            ])
-            return r
+    def _lower_compare(self, row: Operator,
+                       operands: Sequence[Expression]) -> str:
+        # mixed int/float comparisons convert exactly only up to 2^53
+        x, y, r = self._operands(row, operands, 2)
+        cop = row.c
+        self.lines.extend(self._absent_or_bail(x, y, r))
+        self.lines.extend([
+            f"else if ({x}_t != 2 && {y}_t != 2) "
+            f"{{ {r}_t = 3; {r}_i = ({x}_i {cop} {y}_i); }}",
+            f"else if ({x}_t == 2 && {y}_t == 2) "
+            f"{{ {r}_t = 3; {r}_i = ({x}_f {cop} {y}_f); }}",
+            f"else {{",
+            f"    long long {r}_z = ({x}_t == 2) ? {y}_i : {x}_i;",
+            f"    if ({self._beyond_exact_double(f'{r}_z')}) "
+            f"goto {self.bail};",
+            f"    {r}_t = 3; "
+            f"{r}_i = ({self._num(x)} {cop} {self._num(y)});",
+            f"}}",
+        ])
+        return r
 
-        raise CodeGenError(f"cannot lower binary operator {op!r}")
-
-    # -- built-in calls ----------------------------------------------------
-
-    def _emit_call(self, node: Call) -> str:
-        out = self.lines
-        bail = self.bail
-        name = node.function
-
-        if name == "abs":
-            x = self.emit(node.arguments[0])
-            r = self._temp()
-            out.extend([
-                f"if ({x}_t == 0) {{ {r}_t = 0; }}",
-                f"else if ({x}_t == 4) goto {bail};",
-                f"else if ({x}_t == 2) {{ {r}_t = 2; "
-                f"{r}_f = fabs({x}_f); }}",
-                f"else {{",
-                f"    if ({x}_i == {_C_INT64_MIN}) goto {bail};",
-                f"    {r}_t = 1; {r}_i = ({x}_i < 0 ? -{x}_i : {x}_i);",
-                f"}}",
-            ])
-            return r
-
-        if name in ("min", "max"):
-            # Python min(a, b) keeps a unless b < a (max: unless b > a) --
-            # the winning *operand* is returned with its original type.
-            x = self.emit(node.arguments[0])
-            y = self.emit(node.arguments[1])
-            r = self._temp()
-            cop = "<" if name == "min" else ">"
-            out.extend([
-                f"if ({x}_t == 0 || {y}_t == 0) {{ {r}_t = 0; }}",
-                f"else if ({x}_t == 4 || {y}_t == 4) goto {bail};",
-                f"else {{",
-                f"    int {r}_c;",
-                f"    if ({x}_t != 2 && {y}_t != 2) "
-                f"{r}_c = ({y}_i {cop} {x}_i);",
-                f"    else if ({x}_t == 2 && {y}_t == 2) "
-                f"{r}_c = ({y}_f {cop} {x}_f);",
-                f"    else {{",
-                f"        long long {r}_z = ({x}_t == 2) ? {y}_i : {x}_i;",
-                f"        if ({r}_z > {_EXACT_DOUBLE}LL || "
-                f"{r}_z < -{_EXACT_DOUBLE}LL) goto {bail};",
-                f"        {r}_c = ({self._num(y)} {cop} {self._num(x)});",
-                f"    }}",
-                f"    if ({r}_c) {{ {self._assign(r, y)} }}",
-                f"    else {{ {self._assign(r, x)} }}",
-                f"}}",
-            ])
-            return r
-
-        raise CodeGenError(f"cannot lower call to {name!r}")
+    def _lower_select(self, row: Operator, operands: Sequence[Expression],
+                      cop: str) -> str:
+        # Python min(a, b) keeps a unless b < a (max: unless b > a) -- the
+        # winning *operand* is returned with its original type.
+        x, y, r = self._operands(row, operands, 2)
+        self.lines.extend(self._absent_or_bail(x, y, r))
+        self.lines.extend([
+            f"else {{",
+            f"    int {r}_c;",
+            f"    if ({x}_t != 2 && {y}_t != 2) "
+            f"{r}_c = ({y}_i {cop} {x}_i);",
+            f"    else if ({x}_t == 2 && {y}_t == 2) "
+            f"{r}_c = ({y}_f {cop} {x}_f);",
+            f"    else {{",
+            f"        long long {r}_z = ({x}_t == 2) ? {y}_i : {x}_i;",
+            f"        if ({self._beyond_exact_double(f'{r}_z')}) "
+            f"goto {self.bail};",
+            f"        {r}_c = ({self._num(y)} {cop} {self._num(x)});",
+            f"    }}",
+            f"    if ({r}_c) {{ {self._assign(r, y)} }}",
+            f"    else {{ {self._assign(r, x)} }}",
+            f"}}",
+        ])
+        return r

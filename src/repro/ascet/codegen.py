@@ -37,12 +37,8 @@ from ..core.types import Type
 from ..notations.ccd import Cluster, ClusterCommunicationDiagram
 from ..platform.can import CANBus
 from ..platform.ecu import TechnicalArchitecture
+from .c_expr import c_type_of, expression_to_c
 from .comm_matrix import CommunicationMatrix
-
-# The expression -> C translation is shared with the native simulation
-# backend (repro.simulation.native); the single source of truth lives in
-# repro.ascet.c_expr and is re-exported here for backward compatibility.
-from .c_expr import _C_FUNCTIONS, _C_OPERATORS, c_type_of, expression_to_c
 
 __all__ = ["AscetProjectGenerator", "GeneratedProject", "c_type_of",
            "expression_to_c"]

@@ -11,10 +11,10 @@ lanes to evaluate, and the result is an ``(S,)`` object ndarray.
 **Why object dtype.**  Lanes hold ordinary Python objects -- unbounded
 ints, genuine bools, floats, strings and the :data:`~repro.core.values.ABSENT`
 singleton -- and the kernels are :func:`numpy.frompyfunc` liftings of the
-exact per-element operations of the scalar engine.  This sidesteps the
-classic scalar-vs-array divergences by construction: no int64 wraparound
-(Python ints stay Python ints), no NumPy true-division replacing the base
-language's int-exact division, no ``numpy.bool_`` leaking into traces.
+rows of the operator table :mod:`repro.core.ops`, the same per-element
+functions the scalar engines apply.  This sidesteps the classic
+scalar-vs-array divergences by construction: no int64 wraparound, no
+NumPy true division, no ``numpy.bool_`` leaking into traces.
 
 **Lane discipline.**  Out-of-mask lanes are never evaluated: binary/call
 kernels are applied through fancy indexing on the mask, ``and``/``or``
@@ -36,14 +36,14 @@ per-scenario exception, message and tick (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import ExpressionEvalError
-from .expr_eval import _ARITHMETIC_OPS, BUILTIN_FUNCTIONS
 from .expressions import (BinaryOp, Call, Conditional, Expression, Literal,
                           Present, UnaryOp, Variable)
+from .ops import BINARY_OPERATORS, UNARY_OPERATORS, function_table, unknown
 from .values import ABSENT
 
 #: A compiled batch expression: ``(environment, mask) -> row``.
@@ -98,23 +98,13 @@ def _lift_binary(operation: Callable[[Any, Any], Any]) -> Callable:
     return np.frompyfunc(kernel, 2, 1)
 
 
-def _divide(a: Any, b: Any) -> Any:
-    # int-exact division, as in ExpressionEvaluator._evaluate_binary; the
-    # zero-divisor raise only needs to *happen* (the scalar fallback
-    # re-derives the exact ExpressionEvalError message per lane)
-    if b == 0:
-        raise ZeroDivisionError
-    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-        return a // b
-    return a / b
-
-
-_NEGATE_KERNEL = _lift_unary(lambda value: -value)
-_NOT_KERNEL = _lift_unary(lambda value: not value)
-_DIVIDE_KERNEL = _lift_binary(_divide)
-_BINARY_KERNELS = {name: _lift_binary(operation)
-                   for name, operation in _ARITHMETIC_OPS.items()}
-_BINARY_KERNELS["/"] = _DIVIDE_KERNEL
+# the row's raise only needs to *happen* here: the scalar fallback
+# re-derives the exact ExpressionEvalError message per lane
+_UNARY_KERNELS = {symbol: _lift_unary(row.apply)
+                  for symbol, row in UNARY_OPERATORS.items()}
+_BINARY_KERNELS = {symbol: _lift_binary(row.apply)
+                   for symbol, row in BINARY_OPERATORS.items()
+                   if row.settles is None}
 
 
 def _apply_masked(kernel: Callable, mask: np.ndarray,
@@ -136,10 +126,7 @@ def compile_batch_expression(expression: Expression,
     *functions* extends (and may override) the built-in function table,
     exactly like :func:`repro.core.expr_compile.compile_expression`.
     """
-    table: Dict[str, Callable[..., Any]] = dict(BUILTIN_FUNCTIONS)
-    if functions:
-        table.update(functions)
-    return _compile(expression, table)
+    return _compile(expression, function_table(functions))
 
 
 def _compile(expression: Expression,
@@ -215,26 +202,21 @@ def _compile_unary(expression: UnaryOp,
                    functions: Mapping[str, Callable[..., Any]]
                    ) -> BatchExpression:
     operand = _compile(expression.operand, functions)
+    kernel = _UNARY_KERNELS.get(expression.op)
 
-    if expression.op == "-":
-        def run_negate(environment, mask):
-            return _apply_masked(_NEGATE_KERNEL, mask,
-                                 operand(environment, mask))
-        return run_negate
+    if kernel is None:
+        op_name = expression.op
 
-    if expression.op == "not":
-        def run_not(environment, mask):
-            return _apply_masked(_NOT_KERNEL, mask, operand(environment, mask))
-        return run_not
+        def run_unknown_unary(environment, mask):
+            value = operand(environment, mask)
+            if _present_on(value, mask).any():
+                raise unknown("unary operator", op_name)
+            return _absent_row(len(mask))
+        return run_unknown_unary
 
-    message = f"unknown unary operator {expression.op!r}"
-
-    def run_unknown_unary(environment, mask):
-        value = operand(environment, mask)
-        if _present_on(value, mask).any():
-            raise ExpressionEvalError(message)
-        return _absent_row(len(mask))
-    return run_unknown_unary
+    def run_unary(environment, mask):
+        return _apply_masked(kernel, mask, operand(environment, mask))
+    return run_unary
 
 
 def _compile_binary(expression: BinaryOp,
@@ -244,23 +226,20 @@ def _compile_binary(expression: BinaryOp,
     right = _compile(expression.right, functions)
     op_name = expression.op
 
-    if op_name in ("and", "or"):
-        is_or = op_name == "or"
-
+    row = BINARY_OPERATORS.get(op_name)
+    settles = None if row is None else row.settles
+    if settles is not None:
         def run_short_circuit(environment, mask):
             # vectorized short-circuit: a lane settles on its left operand
-            # (or -> True when truthy, and -> False when falsy); only the
+            # when its truth value is the row's settling value; only the
             # remaining present lanes ever evaluate the right operand
             a = left(environment, mask)
             present_a = _present_on(a, mask)
             _, truthy_a = _truthy_on(a, present_a)
+            settled = truthy_a if settles else present_a & ~truthy_a
             out = _absent_row(len(mask))
-            if is_or:
-                out[truthy_a] = True
-                right_mask = present_a & ~truthy_a
-            else:
-                out[present_a & ~truthy_a] = False
-                right_mask = truthy_a
+            out[settled] = settles
+            right_mask = present_a & ~settled
             if right_mask.any():
                 b = right(environment, right_mask)
                 present_b = _present_on(b, right_mask)
@@ -273,13 +252,11 @@ def _compile_binary(expression: BinaryOp,
     if kernel is None:
         # unknown operator: both operands still evaluate first, so absence
         # wins on every lane before the lookup failure surfaces
-        message = f"unknown binary operator {op_name!r}"
-
         def run_unknown_binary(environment, mask):
             a = left(environment, mask)
             b = right(environment, mask)
             if (_present_on(a, mask) & _present_on(b, mask)).any():
-                raise ExpressionEvalError(message)
+                raise unknown("binary operator", op_name)
             return _absent_row(len(mask))
         return run_unknown_binary
 
@@ -297,11 +274,9 @@ def _compile_call(expression: Call,
     if function is None:
         # the scalar engines look the function up before evaluating any
         # argument, so an unknown function beats argument errors
-        message = f"unknown function {function_name!r}"
-
         def run_unknown_function(environment, mask):
             if mask.any():
-                raise ExpressionEvalError(message)
+                raise unknown("function", function_name)
             return _absent_row(len(mask))
         return run_unknown_function
 

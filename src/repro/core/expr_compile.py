@@ -12,19 +12,12 @@ compile time.  The compiled simulation engine
 expression-block outputs, MTD guard tables, STD guard/action/emission
 tables -- through this module.
 
-Semantics are exactly those of :meth:`ExpressionEvaluator.evaluate`,
-including:
-
-* ABSENT propagation (any absent operand makes arithmetic, comparisons,
-  conditionals and calls absent; ``present(ch)`` turns absence into a
-  boolean),
-* short-circuit ``and``/``or`` returning genuine bools,
-* int-exact division (``6 / 3 == 2``, an ``int``),
-* the :class:`~repro.core.errors.ExpressionEvalError` messages, raised at
-  evaluation time exactly when the interpreter raises them (an unknown
-  operator with an absent operand still yields ``ABSENT``, mirroring the
-  interpreter's evaluation order),
-* custom-function lookup through the evaluator's function table.
+Semantics are exactly those of :meth:`ExpressionEvaluator.evaluate`: both
+apply the rows of the operator table :mod:`repro.core.ops` and its
+evaluation-order rules (ABSENT propagation, short-circuit ``and``/``or``,
+error reporting), and a closure raises at evaluation time exactly when the
+interpreter raises (an unknown operator with an absent operand still
+yields ``ABSENT``, mirroring the interpreter's evaluation order).
 
 The only divergence is *when* structural errors surface: an unsupported
 expression node type is reported at compile time (the interpreter can only
@@ -41,12 +34,13 @@ not seen by previously compiled closures (recompile instead).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .errors import ExpressionEvalError
-from .expr_eval import _ARITHMETIC_OPS, BUILTIN_FUNCTIONS
 from .expressions import (BinaryOp, Call, Conditional, Expression, Literal,
                           Present, UnaryOp, Variable)
+from .ops import (BINARY_OPERATORS, UNARY_OPERATORS, call_failure,
+                  function_table, unknown)
 from .values import ABSENT, is_present
 
 #: A compiled expression: ``environment -> value``.
@@ -80,10 +74,7 @@ def compile_expression(expression: Expression,
     *functions* extends (and may override) the built-in function table,
     exactly like the :class:`ExpressionEvaluator` constructor argument.
     """
-    table: Dict[str, Callable[..., Any]] = dict(BUILTIN_FUNCTIONS)
-    if functions:
-        table.update(functions)
-    return _compile(expression, table)
+    return _compile(expression, function_table(functions))
 
 
 def _compile(expression: Expression,
@@ -143,33 +134,28 @@ def _compile_unary(expression: UnaryOp,
                    functions: Mapping[str, Callable[..., Any]]
                    ) -> CompiledExpression:
     operand = _compile(expression.operand, functions)
+    row = UNARY_OPERATORS.get(expression.op)
 
-    if expression.op == "-":
-        def run_negate(environment: Mapping[str, Any]) -> Any:
+    if row is None:
+        # The interpreter evaluates the operand (absence still wins) before
+        # discovering the operator is unknown; mirror that order.
+        op_name = expression.op
+
+        def run_unknown_unary(environment: Mapping[str, Any]) -> Any:
             value = operand(environment)
             if value is ABSENT:
                 return ABSENT
-            return -value
-        return run_negate
+            raise unknown("unary operator", op_name)
+        return run_unknown_unary
 
-    if expression.op == "not":
-        def run_not(environment: Mapping[str, Any]) -> Any:
-            value = operand(environment)
-            if value is ABSENT:
-                return ABSENT
-            return not value
-        return run_not
+    operation = row.apply
 
-    # The interpreter evaluates the operand (absence still wins) before
-    # discovering the operator is unknown; mirror that order.
-    message = f"unknown unary operator {expression.op!r}"
-
-    def run_unknown_unary(environment: Mapping[str, Any]) -> Any:
+    def run_unary(environment: Mapping[str, Any]) -> Any:
         value = operand(environment)
         if value is ABSENT:
             return ABSENT
-        raise ExpressionEvalError(message)
-    return run_unknown_unary
+        return operation(value)
+    return run_unary
 
 
 def _compile_binary(expression: BinaryOp,
@@ -178,80 +164,32 @@ def _compile_binary(expression: BinaryOp,
     left = _compile(expression.left, functions)
     right = _compile(expression.right, functions)
     op_name = expression.op
+    row = BINARY_OPERATORS.get(op_name)
 
-    if op_name == "and":
-        def run_and(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            if a is ABSENT:
-                return ABSENT
-            if not a:
-                return False
-            b = right(environment)
-            return ABSENT if b is ABSENT else bool(b)
-        return run_and
-
-    if op_name == "or":
-        def run_or(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            if a is ABSENT:
-                return ABSENT
-            if a:
-                return True
-            b = right(environment)
-            return ABSENT if b is ABSENT else bool(b)
-        return run_or
-
-    if op_name == "/":
-        message = f"division by zero in {expression.to_source()}"
-        divisor = _literal_constant(expression.right)
-        if divisor is not _NO_CONST:
-            if isinstance(divisor, (int, float)) and divisor == 0:
-                def run_divide_by_zero(environment: Mapping[str, Any]) -> Any:
-                    a = left(environment)
-                    if a is ABSENT:
-                        return ABSENT
-                    raise ExpressionEvalError(message)
-                return run_divide_by_zero
-
-            divisor_is_int = isinstance(divisor, int)
-
-            def run_divide_by_const(environment: Mapping[str, Any]) -> Any:
-                a = left(environment)
-                if a is ABSENT:
-                    return ABSENT
-                if divisor_is_int and isinstance(a, int) and a % divisor == 0:
-                    return a // divisor
-                return a / divisor
-            return run_divide_by_const
-
-        def run_divide(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            b = right(environment)
-            if a is ABSENT or b is ABSENT:
-                return ABSENT
-            if b == 0:
-                raise ExpressionEvalError(message)
-            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                return a // b
-            return a / b
-        return run_divide
-
-    operation = _ARITHMETIC_OPS.get(op_name)
-    if operation is None:
+    if row is None:
         # Unknown operator: the interpreter evaluates both operands first,
         # so absence still propagates before the lookup failure surfaces.
-        message = f"unknown binary operator {op_name!r}"
-
         def run_unknown_binary(environment: Mapping[str, Any]) -> Any:
             a = left(environment)
             b = right(environment)
             if a is ABSENT or b is ABSENT:
                 return ABSENT
-            try:
-                raise KeyError(op_name)
-            except KeyError as exc:
-                raise ExpressionEvalError(message) from exc
+            raise unknown("binary operator", op_name)
         return run_unknown_binary
+
+    settles = row.settles
+    if settles is not None:
+        def run_short_circuit(environment: Mapping[str, Any]) -> Any:
+            a = left(environment)
+            if a is ABSENT:
+                return ABSENT
+            if bool(a) is settles:
+                return settles
+            b = right(environment)
+            return ABSENT if b is ABSENT else bool(b)
+        return run_short_circuit
+
+    operation, wraps, failure = row.apply, row.wraps, row.failure
 
     right_const = _literal_constant(expression.right)
     if right_const is not _NO_CONST:
@@ -261,10 +199,8 @@ def _compile_binary(expression: BinaryOp,
                 return ABSENT
             try:
                 return operation(a, right_const)
-            except TypeError as exc:
-                raise ExpressionEvalError(
-                    f"cannot apply {op_name!r} to {a!r} and "
-                    f"{right_const!r}") from exc
+            except wraps as exc:
+                raise failure(exc, a, right_const, expression) from exc
         return run_binary_const_right
 
     left_const = _literal_constant(expression.left)
@@ -275,10 +211,8 @@ def _compile_binary(expression: BinaryOp,
                 return ABSENT
             try:
                 return operation(left_const, b)
-            except TypeError as exc:
-                raise ExpressionEvalError(
-                    f"cannot apply {op_name!r} to {left_const!r} and "
-                    f"{b!r}") from exc
+            except wraps as exc:
+                raise failure(exc, left_const, b, expression) from exc
         return run_binary_const_left
 
     def run_binary(environment: Mapping[str, Any]) -> Any:
@@ -288,9 +222,8 @@ def _compile_binary(expression: BinaryOp,
             return ABSENT
         try:
             return operation(a, b)
-        except TypeError as exc:
-            raise ExpressionEvalError(
-                f"cannot apply {op_name!r} to {a!r} and {b!r}") from exc
+        except wraps as exc:
+            raise failure(exc, a, b, expression) from exc
     return run_binary
 
 
@@ -302,13 +235,8 @@ def _compile_call(expression: Call,
     if function is None:
         # The interpreter looks the function up before evaluating any
         # argument, so an unknown function beats argument errors.
-        message = f"unknown function {function_name!r}"
-
         def run_unknown_function(environment: Mapping[str, Any]) -> Any:
-            try:
-                raise KeyError(function_name)
-            except KeyError as exc:
-                raise ExpressionEvalError(message) from exc
+            raise unknown("function", function_name)
         return run_unknown_function
 
     arguments = tuple(_compile(arg, functions) for arg in expression.arguments)
@@ -320,6 +248,5 @@ def _compile_call(expression: Call,
         try:
             return function(*values)
         except Exception as exc:  # noqa: BLE001 - surface as evaluation error
-            raise ExpressionEvalError(
-                f"error calling {function_name}: {exc}") from exc
+            raise call_failure(function_name, exc) from exc
     return run_call

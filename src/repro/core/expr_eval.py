@@ -10,70 +10,23 @@ ordinary boolean so that event-triggered behaviour can be expressed.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from .errors import ExpressionEvalError
 from .expressions import (BinaryOp, Call, Conditional, Expression, Literal,
                           Present, UnaryOp, Variable)
 from .expr_parser import parse_expression
+from .ops import (BINARY_OPERATORS, BUILTIN_FUNCTIONS, UNARY_OPERATORS,
+                  call_failure, function_table, unknown)
 from .values import ABSENT, is_absent, is_present
-
-
-def _limit(value, low, high):
-    """Clamp *value* into [low, high] (the LIMIT block primitive)."""
-    return max(low, min(high, value))
-
-
-def _interpolate(x, x0, y0, x1, y1):
-    """Linear interpolation primitive used by lookup-table style blocks."""
-    if x1 == x0:
-        return y0
-    alpha = (x - x0) / (x1 - x0)
-    return y0 + alpha * (y1 - y0)
-
-
-def _sign(x):
-    """Sign primitive: -1, 0 or 1 (named so evaluators stay picklable)."""
-    return (x > 0) - (x < 0)
-
-
-#: Built-in functions callable from base-language expressions.
-BUILTIN_FUNCTIONS: Dict[str, Callable[..., Any]] = {
-    "abs": abs,
-    "min": min,
-    "max": max,
-    "limit": _limit,
-    "interpolate": _interpolate,
-    "sqrt": math.sqrt,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "round": round,
-    "sign": _sign,
-}
-
-
-_ARITHMETIC_OPS: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 class ExpressionEvaluator:
     """Evaluates base-language ASTs against per-tick environments."""
 
     def __init__(self, functions: Optional[Mapping[str, Callable[..., Any]]] = None):
-        self.functions: Dict[str, Callable[..., Any]] = dict(BUILTIN_FUNCTIONS)
-        if functions:
-            self.functions.update(functions)
+        self.functions: Dict[str, Callable[..., Any]] = \
+            function_table(functions)
 
     # Only non-builtin functions travel when an evaluator is pickled (the
     # sharded scenario runner ships whole models to worker processes);
@@ -85,8 +38,7 @@ class ExpressionEvaluator:
         return {"custom_functions": custom}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.functions = dict(BUILTIN_FUNCTIONS)
-        self.functions.update(state.get("custom_functions", {}))
+        self.functions = function_table(state.get("custom_functions"))
 
     def compile(self, expression: Expression) -> Callable[[Mapping[str, Any]], Any]:
         """Lower *expression* to a closure using this evaluator's functions.
@@ -130,27 +82,19 @@ class ExpressionEvaluator:
         operand = self.evaluate(expression.operand, environment)
         if is_absent(operand):
             return ABSENT
-        if expression.op == "-":
-            return -operand
-        if expression.op == "not":
-            return not operand
-        raise ExpressionEvalError(f"unknown unary operator {expression.op!r}")
+        row = UNARY_OPERATORS.get(expression.op)
+        if row is None:
+            raise unknown("unary operator", expression.op)
+        return row.apply(operand)
 
     def _evaluate_binary(self, expression: BinaryOp, environment: Mapping[str, Any]) -> Any:
-        if expression.op == "and":
+        row = BINARY_OPERATORS.get(expression.op)
+        if row is not None and row.settles is not None:
             left = self.evaluate(expression.left, environment)
             if is_absent(left):
                 return ABSENT
-            if not left:
-                return False
-            right = self.evaluate(expression.right, environment)
-            return ABSENT if is_absent(right) else bool(right)
-        if expression.op == "or":
-            left = self.evaluate(expression.left, environment)
-            if is_absent(left):
-                return ABSENT
-            if left:
-                return True
+            if bool(left) is row.settles:
+                return row.settles
             right = self.evaluate(expression.right, environment)
             return ABSENT if is_absent(right) else bool(right)
 
@@ -158,38 +102,24 @@ class ExpressionEvaluator:
         right = self.evaluate(expression.right, environment)
         if is_absent(left) or is_absent(right):
             return ABSENT
-        if expression.op == "/":
-            if right == 0:
-                raise ExpressionEvalError(
-                    f"division by zero in {expression.to_source()}")
-            if isinstance(left, int) and isinstance(right, int) and left % right == 0:
-                return left // right
-            return left / right
+        if row is None:
+            raise unknown("binary operator", expression.op)
         try:
-            op = _ARITHMETIC_OPS[expression.op]
-        except KeyError as exc:
-            raise ExpressionEvalError(
-                f"unknown binary operator {expression.op!r}") from exc
-        try:
-            return op(left, right)
-        except TypeError as exc:
-            raise ExpressionEvalError(
-                f"cannot apply {expression.op!r} to {left!r} and {right!r}") from exc
+            return row.apply(left, right)
+        except row.wraps as exc:
+            raise row.failure(exc, left, right, expression) from exc
 
     def _evaluate_call(self, expression: Call, environment: Mapping[str, Any]) -> Any:
-        try:
-            function = self.functions[expression.function]
-        except KeyError as exc:
-            raise ExpressionEvalError(
-                f"unknown function {expression.function!r}") from exc
+        function = self.functions.get(expression.function)
+        if function is None:
+            raise unknown("function", expression.function)
         arguments = [self.evaluate(arg, environment) for arg in expression.arguments]
         if any(is_absent(arg) for arg in arguments):
             return ABSENT
         try:
             return function(*arguments)
         except Exception as exc:  # noqa: BLE001 - surface as evaluation error
-            raise ExpressionEvalError(
-                f"error calling {expression.function}: {exc}") from exc
+            raise call_failure(expression.function, exc) from exc
 
 
 _DEFAULT_EVALUATOR = ExpressionEvaluator()

@@ -24,8 +24,9 @@ Lowering decisions per op:
 
 * ``copy`` / ``buf_read`` / ``buf_write`` / ``gate`` -- always native
   (tag-triple moves and a table jump);
-* ``expr`` -- native when every item expression passes
-  :func:`~repro.ascet.c_expr.lowerable_expression` *and* the lint
+* ``expr`` -- native when :class:`~repro.ascet.c_expr.TaggedEmitter`
+  lowers every item expression (it raises
+  :class:`~repro.core.errors.CodeGenError` otherwise) *and* the lint
   interval×kind lattice proves no enum/struct value flows through it
   (:func:`repro.analysis.lint.expr_check.check_expression`); the emitted
   block still guards every arithmetic step (overflow, int-exactness,
@@ -43,9 +44,10 @@ whole op from unmodified inputs.  The return value is ``0`` on success or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
-from ...ascet.c_expr import TaggedEmitter, lowerable_expression
+from ...ascet.c_expr import TaggedEmitter
+from ...core.errors import CodeGenError
 from ..schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
                            OP_EXPR, OP_GATE, OP_RUN, FlatSchedule)
 
@@ -103,44 +105,39 @@ def _expr_abstract_kinds(leaf: Any) -> Any:
     return kinds, clean
 
 
-def _expr_is_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
-    """Static routing decision for one ``expr`` op."""
-    component = leaf.component
-    expressions = list(component.output_expressions.values())
-    if len(expressions) != len(op[3]):
-        return False
-    input_names = {name for name, _slot in op[2]}
-    functions = component._evaluator.functions  # noqa: SLF001
-    if not all(lowerable_expression(expression, input_names, functions)
-               for expression in expressions):
-        return False
-    kinds, clean = _expr_abstract_kinds(leaf)
-    # enum/struct-kind values are Python objects on the tagged plane; the
-    # lattice proving one can flow through this block routes the whole op
-    # to the closure path statically rather than bailing every tick.
-    return clean and not (kinds & {"enum", "struct"})
-
-
 def _tramp_call(index: int, lines: List[str]) -> None:
     lines.append(f"    if (tramp({index}LL)) return {index + 1}LL;")
 
 
-def _emit_expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
-                     lines: List[str]) -> None:
-    in_spec = op[2]
+def _expr_block(index: int, op: Tuple[Any, ...],
+                leaf: Any) -> Optional[List[str]]:
+    """The native block of one ``expr`` op, or None when the op stays on
+    the trampoline."""
+    component = leaf.component
+    expressions = list(component.output_expressions.values())
     items = op[3]
-    post = op[4]
-    expressions = list(leaf.component.output_expressions.values())
-    lines.append("    {")
+    if len(expressions) != len(items):
+        return None
+    lines = ["    {"]
     inputs = {}
-    for j, (name, slot) in enumerate(in_spec):
+    for j, (name, slot) in enumerate(op[2]):
         prefix = f"v{j}"
         inputs[name] = prefix
         lines.append(f"        unsigned char {prefix}_t = tag[{slot}]; "
                      f"long long {prefix}_i = iv[{slot}]; "
                      f"double {prefix}_f = fv[{slot}];")
-    emitter = TaggedEmitter(inputs, bail_label=f"L{index}_py")
-    results = [emitter.emit(expression) for expression in expressions]
+    emitter = TaggedEmitter(inputs, bail_label=f"L{index}_py",
+                            functions=component._evaluator.functions)  # noqa: SLF001
+    try:
+        results = [emitter.emit(expression) for expression in expressions]
+    except CodeGenError:
+        return None
+    kinds, clean = _expr_abstract_kinds(leaf)
+    # enum/struct-kind values are Python objects on the tagged plane; the
+    # lattice proving one can flow through this block routes the whole op
+    # to the closure path statically rather than bailing every tick.
+    if not clean or kinds & {"enum", "struct"}:
+        return None
     lines.extend(f"        {decl}" for decl in emitter.decls)
     lines.extend(f"        {line}" for line in emitter.lines)
     for (slot, _closure), prefix in zip(items, results):
@@ -148,7 +145,7 @@ def _emit_expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
             lines.append(f"        tag[{slot}] = {prefix}_t; "
                          f"iv[{slot}] = {prefix}_i; "
                          f"fv[{slot}] = {prefix}_f;")
-    for src, dst in post:
+    for src, dst in op[4]:
         lines.append(f"        tag[{dst}] = tag[{src}]; "
                      f"iv[{dst}] = iv[{src}]; fv[{dst}] = fv[{src}];")
     lines.append(f"        goto L{index}_done;")
@@ -156,6 +153,7 @@ def _emit_expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
     lines.append(f"L{index}_py: ;")
     _tramp_call(index, lines)
     lines.append(f"L{index}_done: ;")
+    return lines
 
 
 def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
@@ -185,9 +183,10 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
             target = op[2]
             label = "Lend" if target >= len(program) else f"L{target}"
             lines.append(f"    if (!gate[{gate_index}]) goto {label};")
-        elif code == OP_EXPR and _expr_is_lowerable(op, flat.leaves[op[1]]):
+        elif code == OP_EXPR and (block := _expr_block(
+                index, op, flat.leaves[op[1]])) is not None:
             lowered.lowered_ops.append(index)
-            _emit_expr_block(index, op, flat.leaves[op[1]], lines)
+            lines.extend(block)
         else:  # run / correct / non-lowerable expr
             lowered.fallback_ops.append(index)
             _tramp_call(index, lines)

@@ -14,6 +14,7 @@ from repro.ascet.model import (AscetInterpreter, AscetModule, AscetProcess,
                                AscetProject, AscetTask, assign, if_then_else)
 from repro.core.errors import CodeGenError, ModelError, UnknownElementError
 from repro.core.expr_parser import parse_expression
+from repro.core.expressions import BinaryOp, UnaryOp, Variable
 from repro.core.impl_types import BOOL8, INT16, FixedPointType
 from repro.core.types import BOOL, FLOAT, EnumType, IntType
 
@@ -173,6 +174,12 @@ class TestCodegenHelpers:
         assert expression_to_c(parse_expression("mode == 'crash'")) == \
             "(mode == E_CRASH)"
         assert "msg_present" in expression_to_c(parse_expression("present(x)"))
+
+    def test_unknown_operators_have_no_c_spelling(self):
+        with pytest.raises(CodeGenError, match="no C operator for '\\?\\?'"):
+            expression_to_c(UnaryOp("??", Variable("x")))
+        with pytest.raises(CodeGenError, match="no C operator for '<>'"):
+            expression_to_c(BinaryOp("<>", Variable("x"), Variable("y")))
 
     def test_c_type_selection(self):
         assert c_type_of(INT16, FLOAT) == "sint16"

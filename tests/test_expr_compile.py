@@ -249,6 +249,18 @@ class TestExactSemantics:
         with pytest.raises(ExpressionEvalError, match="cannot apply '\\+'"):
             compile_expression(expression)({"a": "label", "b": 3})
 
+    def test_division_type_clash_message_matches(self):
+        # '/' reports a type clash like every other arithmetic operator
+        # instead of leaking the raw TypeError
+        expression = parse_expression("'x' / a")
+        assert_same_outcome(expression, {"a": 2})
+        with pytest.raises(ExpressionEvalError,
+                           match="cannot apply '/' to 'x' and 2"):
+            compile_expression(expression)({"a": 2})
+        with pytest.raises(ExpressionEvalError,
+                           match="cannot apply '/' to 'x' and 2"):
+            ExpressionEvaluator().evaluate(expression, {"a": 2})
+
     def test_function_error_wrapped_identically(self):
         expression = parse_expression("sqrt(a)")
         assert_same_outcome(expression, {"a": -1})

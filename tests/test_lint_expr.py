@@ -14,6 +14,7 @@ from repro.analysis.lint.expr_check import (AbstractValue, _NO_CONST,
                                             environment_of_ports,
                                             lint_expression_component)
 from repro.core.components import ExpressionComponent
+from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.expr_parser import parse_expression
 from repro.core.types import BoolType, EnumType, FloatType, IntType
 from repro.core.validation import Severity
@@ -103,6 +104,19 @@ def test_division_by_nonzero_interval_is_silent():
     assert not findings
 
 
+def test_modulo_by_constant_zero_is_an_error():
+    _, findings = _check("a % 0", {"a": abstract_of_type(IntType())})
+    assert _rules(findings) == ["expr-div-by-zero"]
+    assert findings[0].severity is Severity.ERROR
+
+
+def test_modulo_by_interval_containing_zero_warns():
+    env = {"d": abstract_of_type(IntType(-5, 5), may_absent=False)}
+    _, findings = _check("10 % d", env)
+    assert _rules(findings) == ["expr-div-by-zero"]
+    assert findings[0].severity is Severity.WARNING
+
+
 def test_division_by_unbounded_value_is_silent():
     env = {"d": abstract_of_type(IntType(), may_absent=False)}
     _, findings = _check("10 / d", env)
@@ -189,6 +203,27 @@ def test_compatible_output_type_is_silent():
     comp.add_input("x", IntType(0, 5))
     comp.add_output("out", IntType())
     assert not lint_expression_component(comp)
+
+
+def test_custom_function_outputs_are_not_assumed_numeric():
+    levels = EnumType("Level", ("LOW", "HIGH"))
+    evaluator = ExpressionEvaluator(
+        {"classify": lambda x: "HIGH" if x > 5 else "LOW",
+         "is_hot": lambda x: x > 90})
+    comp = ExpressionComponent("C", {"level": "classify(x)",
+                                     "hot": "is_hot(x)"},
+                               evaluator=evaluator)
+    comp.add_input("x", IntType())
+    comp.add_output("level", levels)
+    comp.add_output("hot", BoolType())
+    assert not lint_expression_component(comp)
+
+
+def test_builtin_call_result_kind_still_checked():
+    comp = ExpressionComponent("C", {"flag": "abs(x)"})
+    comp.add_input("x", IntType())
+    comp.add_output("flag", EnumType("Level", ("LOW", "HIGH")))
+    assert _rules(lint_expression_component(comp)) == ["expr-output-type"]
 
 
 def test_unknown_name_in_component_names_known_ports():
