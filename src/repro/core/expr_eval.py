@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from .errors import ExpressionEvalError
 from .expressions import (BinaryOp, Call, Conditional, Expression, Literal,
                           Present, UnaryOp, Variable)
+from .expr_compile import _compile
 from .expr_parser import parse_expression
 from .ops import (BINARY_OPERATORS, BUILTIN_FUNCTIONS, UNARY_OPERATORS,
                   call_failure, function_table, unknown)
@@ -48,8 +49,10 @@ class ExpressionEvaluator:
         captures resolved function objects, so it is a per-process artefact
         -- recompile after pickling rather than shipping closures.
         """
-        from .expr_compile import compile_expression
-        return compile_expression(expression, self.functions)
+        # self.functions is already the complete table (built-ins plus
+        # custom) and closures capture resolved functions, never the table:
+        # compile against it directly instead of merging a copy per call
+        return _compile(expression, self.functions)
 
     def evaluate(self, expression: Expression, environment: Mapping[str, Any]) -> Any:
         """Evaluate *expression*; absent operands make the result absent."""

@@ -12,7 +12,7 @@ The in-process primitives and one switch:
   ``chrome://tracing``; worker-tagged spans get their own tracks);
 * :class:`OpProfile` -- op-level attribution of flat-IR step programs
   (per-op counts/times, gate skip rates, correction re-runs,
-  nested-fallback and batch scalar-fallback activity), rendered by
+  correction-barrier subtree and batch scalar-fallback activity), rendered by
   :func:`format_profile` / :func:`format_backend_comparison`;
 * :func:`enable` / :func:`disable` / :func:`session` -- the process-global
   switch.  While off (the default), the engines run their untouched step

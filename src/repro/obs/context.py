@@ -98,8 +98,9 @@ class Telemetry:
         """The (lazily created) op profile of *schedule*, or ``None``.
 
         Returns ``None`` when op profiling is off or the schedule does not
-        expose an op program (``op_labels()``): nested-only schedules run
-        unprofiled, they are already observable through spans and metrics.
+        expose an op program (``op_labels()``): a leaf root's schedule (an
+        STD, atomic or custom-``react`` root) is a single step and runs
+        unprofiled, observable through spans and metrics.
         """
         if not self.profile_ops:
             return None
@@ -132,8 +133,9 @@ class Telemetry:
         """The (lazily created) flight recorder of *schedule*, or ``None``.
 
         Returns ``None`` when flight recording is off or the schedule has
-        no ``recording_step`` (nested and batch schedules run unrecorded:
-        forensics lives on the flat path, which is the default backend).
+        no ``recording_step`` (leaf-root and batch schedules run
+        unrecorded: forensics lives on the flat path, which is the default
+        backend for every composite, gated and MTD root).
         """
         if not self.flight_recording \
                 or not hasattr(schedule, "recording_step"):

@@ -66,7 +66,8 @@ class OpProfile:
         return rollup
 
     def nested_fallback_runs(self) -> int:
-        """Executions of ops running on the nested-compiled fallback path."""
+        """Executions of ``run`` ops stepping a correction-barrier
+        subtree's own flat program (labelled ``nested``)."""
         return sum(count for count, nested
                    in zip(self.counts, self.nested_ops) if nested)
 

@@ -230,7 +230,8 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
 
             trace = run_stepped(component, observing_step, scenario.stimuli,
                                 scenario.ticks, simulator.check_types,
-                                initial_state=schedule.initial_state())
+                                initial_state=schedule.initial_state(),
+                                mode_of=schedule.root_mode)
             mode_paths: Optional[Dict[str, List[Any]]] = histories
         else:
             trace = simulator.run(scenario.stimuli, scenario.ticks)

@@ -3,10 +3,11 @@
 * :mod:`repro.simulation.engine` -- the reference tick-based interpreter and
   rate gating
 * :mod:`repro.simulation.compiled` -- the compiled engine: one-time schedule
-  compilation, batch scenario runs, differential verification
+  compilation, leaf compilers, batch scenario runs, differential
+  verification
 * :mod:`repro.simulation.schedule_ir` -- the flat schedule IR:
   cross-hierarchy flattening onto one global step program with slot-based
-  environments, gating predicates and correction barriers
+  environments, gating predicates, mode switches and correction barriers
 * :mod:`repro.simulation.batch_ir` -- the vectorized battery backend:
   the flat program over a ``(slot, scenario)`` NumPy plane, one sweep per
   scenario battery (requires NumPy; gated exports are ``None`` without it)
@@ -21,8 +22,8 @@
 from .causality import (CausalityAnalysis, CausalityResult, analyze_causality,
                         assert_causal, instantaneous_path_exists)
 from .compiled import (CompiledSchedule, CompiledSimulator, ScenarioSuite,
-                       compile_ccd, compile_component, compile_nested,
-                       simulate_ccd_compiled, simulate_compiled)
+                       compile_ccd, compile_component, simulate_ccd_compiled,
+                       simulate_compiled)
 from .engine import (ClockGatedComponent, Simulator, build_gated_ccd,
                      normalize_stimulus, prepare_feeds, simulate, simulate_ccd)
 from .schedule_ir import FlatSchedule, FlatState, compile_flat, is_flattenable
@@ -47,7 +48,7 @@ __all__ = [
     "NativeSchedule", "ScenarioSuite", "SimulationTrace", "Simulator",
     "align_lengths", "analyze_causality", "assert_causal", "build_gated_ccd",
     "compile_batch", "compile_ccd", "compile_component", "compile_flat",
-    "compile_native", "compile_nested", "constant", "first_difference",
+    "compile_native", "constant", "first_difference",
     "instantaneous_path_exists", "is_flattenable", "native_available",
     "normalize_stimulus", "prepare_feeds", "presence_ratio", "pulse", "ramp",
     "resample", "simulate", "simulate_ccd", "simulate_ccd_compiled",

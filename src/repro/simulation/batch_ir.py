@@ -27,9 +27,10 @@ over; :func:`~repro.simulation.schedule_ir.run_kernels` drives them):
 * ``switch``    -- runs each behaviour region once per tick under the mask
   of the lanes in that mode, then restores the region's slot and buffer
   rows on every other lane (the regions' closing ``jump`` ops never run);
-* ``run`` / ``correct`` -- nested-fallback leaves (STDs, unlowerable MTDs,
-  atomic blocks, unflattenable composites) and correction barriers keep
-  their per-scenario step closures and loop over the active lanes only.
+* ``run`` / ``correct`` -- leaf steps (STDs, atomic blocks, custom
+  ``react`` components, subtrees a correction barrier re-runs) and
+  correction barriers keep their per-scenario step closures and loop over
+  the active lanes only.
 
 **Active masks.**  Scenarios of unequal length share one sweep: a lane is
 active while ``tick < its horizon``; finished and failed lanes simply drop
@@ -454,8 +455,7 @@ class BatchSchedule:
         n_leaves = len(leaves)
         n_buffers = len(flat.buffer_specs)
         states: List[List[Any]] = [
-            [leaf.component.initial_state() for _ in range(lanes)]
-            for leaf in leaves]
+            [leaf.initial_state() for _ in range(lanes)] for leaf in leaves]
         buffers = np.empty((n_buffers, lanes), dtype=object)
         for buffer_index, spec in enumerate(flat.buffer_specs):
             row = buffers[buffer_index]
@@ -466,6 +466,11 @@ class BatchSchedule:
         live = np.array([error is None for error in errors], dtype=bool)
         histories: Optional[List[Dict[str, List[Any]]]] = \
             [{} for _ in range(lanes)] if collect_modes else None
+        # an MTD root's mode after every tick: its traces' mode_history
+        root_machine = flat.machines[0] if flat.root_mode is not None \
+            else None
+        root_modes = np.zeros((horizon, lanes), dtype=np.int64) \
+            if root_machine is not None else None
 
         # telemetry: bound ONCE per sweep -- the disabled path binds the
         # plain kernel table and never consults the context again
@@ -511,6 +516,8 @@ class BatchSchedule:
                 vector_ticks += 1
                 for name, slot in output_spec:
                     out_rows[name][tick] = values[slot]
+            if root_modes is not None:
+                root_modes[tick] = next_buffers[root_machine.buffer]
             if histories is not None:
                 for index in indices:
                     if not live[index]:
@@ -569,6 +576,11 @@ class BatchSchedule:
                 for port_name, _slot in output_spec:
                     trace.outputs[port_name] = Stream(
                         out_rows[port_name][:ticks, index].tolist())
+                if root_modes is not None:
+                    names = root_machine.names
+                    trace.mode_history = [
+                        names[mode]
+                        for mode in root_modes[:ticks, index].tolist()]
             outcomes.append(LaneOutcome(
                 name, trace=trace,
                 mode_paths=histories[index] if histories is not None

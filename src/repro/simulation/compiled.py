@@ -10,29 +10,21 @@ concept is exercised against many scenarios.
 
 This module splits execution into two phases.
 
-**Compile** (:func:`compile_component`): flattenable hierarchies -- default
-composites, optionally wrapped in clock gates -- are lowered onto the flat
-schedule IR of :mod:`repro.simulation.schedule_ir` (one global step program
-over slot-based environments); everything else takes the **nested** path
-(:func:`compile_nested`), where the hierarchy is walked *once* and
-translated into a tree of small step closures with every schedule decision
-precomputed:
+**Compile** (:func:`compile_component`): composites, clock gates and
+mode-transition diagrams -- at the root and inside a hierarchy -- are
+lowered onto the flat schedule IR of :mod:`repro.simulation.schedule_ir`
+(one global step program over slot-based environments).  What remains
+here are the **leaf compilers** (:func:`compile_leaf`), which turn one
+leaf into a step closure with every decision precomputed; the flat IR runs
+them as single ops, and a leaf root compiles to its leaf step directly:
 
-* each composite becomes a linear step list (its sub-components in the
-  cached :class:`~repro.core.components.ExecutionPlan` order) with
-  prebuilt instantaneous-propagation lists, delayed-channel seed/commit
-  lists and boundary collection lists -- no per-tick graph analysis;
-* each :class:`~repro.simulation.engine.ClockGatedComponent` gets an
-  incrementally materialized clock pattern
-  (:meth:`~repro.core.clocks.Clock.cached`) shared across runs;
-* each mode-transition diagram gets per-mode transition tables (guards
-  lowered to closures via :mod:`repro.core.expr_compile`) and compiled
-  mode behaviours;
 * each state-transition diagram gets per-state sorted transition tables
-  with compiled guards, actions and emissions;
+  with compiled guards, actions and emissions (guards lowered to closures
+  via :mod:`repro.core.expr_compile`);
 * each expression block gets its output expressions lowered to closures;
-* every other component (function/stateful blocks...) is already a single
-  ``react`` call and is executed directly.
+* every other component (function/stateful blocks, custom ``react``
+  subclasses...) is already a single ``react`` call and is executed
+  directly.
 
 **Run** (:class:`CompiledSimulator` / :class:`ScenarioSuite`): the compiled
 schedule is a pure function of ``(inputs, state, tick)`` and can therefore
@@ -54,17 +46,14 @@ from __future__ import annotations
 import warnings
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple)
 
-from ..core.components import (Component, CompositeComponent,
-                               ExpressionComponent)
+from ..core.components import Component, ExpressionComponent
 from ..core.errors import ModelError, SimulationError
 from ..core.values import ABSENT, is_present
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
 from ..notations.ccd import ClusterCommunicationDiagram
-from ..notations.mtd import ModeTransitionDiagram
 from ..notations.std import StateTransitionDiagram
-from .engine import (ClockGatedComponent, Simulator, StimulusSpec,
-                     build_gated_ccd, run_stepped)
+from .engine import Simulator, StimulusSpec, build_gated_ccd, run_stepped
 from .trace import SimulationTrace, first_difference
 
 #: A compiled step: ``(inputs, state, tick) -> (outputs, next_state)``.
@@ -72,58 +61,53 @@ StepFunction = Callable[[Mapping[str, Any], Any, int], Tuple[Dict[str, Any], Any
 
 
 class CompiledSchedule:
-    """A component compiled into an executable schedule.
+    """A leaf component compiled into an executable step.
 
-    ``step`` is the executable form; ``kind`` names the compilation strategy
-    (``"composite"``, ``"gated"``, ``"mtd"``, ``"std"`` or ``"atomic"``) and
-    ``children`` holds the compiled sub-schedules, so tests and tools can
-    inspect what the compiler produced.
+    ``step`` is the executable form; ``kind`` names the leaf compiler
+    (``"std"`` or ``"atomic"``), so tests and tools can inspect what the
+    compiler produced.
     """
 
-    __slots__ = ("component", "kind", "step", "children")
+    __slots__ = ("component", "kind", "step")
 
-    def __init__(self, component: Component, kind: str, step: StepFunction,
-                 children: Optional[List[Tuple[str, "CompiledSchedule"]]] = None):
+    #: leaf roots record ``mode_history`` from their state dicts
+    root_mode = None
+
+    def __init__(self, component: Component, kind: str, step: StepFunction):
         self.component = component
         self.kind = kind
         self.step = step
-        self.children = children or []
 
     def initial_state(self) -> Any:
         return self.component.initial_state()
 
     def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
-        """The flattened schedule: ``(hierarchical path, kind)`` per node."""
+        """The schedule: ``(hierarchical path, kind)`` of the leaf."""
         path = f"{prefix}/{self.component.name}" if prefix else self.component.name
-        steps = [(path, self.kind)]
-        for _, child in self.children:
-            steps.extend(child.linear_steps(path))
-        return steps
+        return [(path, self.kind)]
 
     def describe(self) -> str:
-        """Human-readable rendering of the flattened schedule."""
+        """Human-readable rendering of the schedule."""
         return "\n".join(f"{kind:>10}  {path}"
                          for path, kind in self.linear_steps())
 
     def __repr__(self) -> str:
-        return (f"CompiledSchedule({self.component.name!r}, kind={self.kind!r}, "
-                f"steps={len(self.linear_steps())})")
+        return (f"CompiledSchedule({self.component.name!r}, "
+                f"kind={self.kind!r})")
 
 
 def compile_component(component: Component, verify: bool = False):
     """Compile *component* into a reusable execution schedule.
 
-    Composite hierarchies (and clock-gated wrappers around them) with the
-    default synchronous ``react`` compile to the flat schedule IR
+    Composites, clock gates and mode-transition diagrams with the default
+    ``react`` compile to the flat schedule IR
     (:class:`~repro.simulation.schedule_ir.FlatSchedule`): one global,
     topologically ordered step program over slot-based environments, with
-    gating predicates and correction barriers preserving the nested
-    semantics exactly (MTD leaves whose mode behaviours flatten become
-    flat ``mode``/``switch`` ops).  Everything else -- MTD/STD/atomic
-    roots, subclasses with a custom ``react`` -- compiles on the nested
-    path (:func:`compile_nested`), which is also the per-subtree fallback
-    the flattener embeds for unflattenable children.  Both schedule kinds share
-    the ``(inputs, state, tick) -> (outputs, state)`` step contract and the
+    gating predicates, mode switches and correction barriers preserving
+    the reference semantics exactly.  Leaf roots -- STDs, expression and
+    atomic blocks, subclasses with a custom ``react`` -- compile to their
+    leaf step (:func:`compile_leaf`).  Both schedule kinds share the
+    ``(inputs, state, tick) -> (outputs, state)`` step contract and the
     ``linear_steps()`` / ``describe()`` naming contract.
 
     With ``verify=True`` the static-analysis engine
@@ -142,28 +126,14 @@ def compile_component(component: Component, verify: bool = False):
         if verify:
             lint_flat_schedule(schedule).raise_on_errors()
         return schedule
-    with maybe_span("compile.nested", component=component.name):
-        return compile_nested(component)
+    return compile_leaf(component)
 
 
-def compile_nested(component: Component) -> CompiledSchedule:
-    """Compile *component* into the nested (per-composite closure) schedule.
-
-    This is the PR-4 compiled engine: each composite is one step closure
-    over its sub-schedules.  It remains the reference compiled semantics --
-    the flat IR is differentially tested against it -- the fallback for
-    components the flattener cannot hoist, and the baseline the
-    ``benchmarks/bench_flatten.py`` speedup gate measures against.
-    """
-    if isinstance(component, CompositeComponent) \
-            and type(component).react is CompositeComponent.react:
-        return _compile_composite(component)
-    if isinstance(component, ClockGatedComponent) \
-            and type(component).react is ClockGatedComponent.react:
-        return _compile_gated(component)
-    if isinstance(component, ModeTransitionDiagram) \
-            and type(component).react is ModeTransitionDiagram.react:
-        return _compile_mtd(component)
+def compile_leaf(component: Component) -> CompiledSchedule:
+    """Compile a leaf -- an STD, an expression block or any component with
+    its own ``react`` -- into its step closure.  The flat IR runs these as
+    single ops; composites, gates and machines never reach here except as
+    custom-``react`` subclasses, which are leaves too."""
     if isinstance(component, StateTransitionDiagram) \
             and type(component).react is StateTransitionDiagram.react:
         return _compile_std(component)
@@ -183,7 +153,7 @@ def _compile_expression(component: ExpressionComponent) -> CompiledSchedule:
 
     The reference ``react`` copies the inputs into a fresh environment dict
     every tick; the evaluator never mutates its environment, and the input
-    dicts built by the surrounding compiled composite (or simulator loop)
+    dicts built by the flat program's ``run`` op (or the simulator loop)
     are fresh per tick, so evaluating against *inputs* directly is
     observationally identical and saves one dict copy per block per tick.
     On top of that, the output expressions are lowered to closures
@@ -198,186 +168,6 @@ def _compile_expression(component: ExpressionComponent) -> CompiledSchedule:
         return {name: compiled(inputs) for name, compiled in items}, state
 
     return CompiledSchedule(component, "atomic", step)
-
-
-def _compile_composite(component: CompositeComponent) -> CompiledSchedule:
-    """Flatten one composite into a linear step list over its plan."""
-    plan = component.execution_plan()
-    children = [(entry.name, compile_nested(component.subcomponent(entry.name)))
-                for entry in plan.entries]
-    steps = {name: schedule.step for name, schedule in children}
-    for entry in plan.entries:
-        sub = component.subcomponent(entry.name)
-        if not sub.has_behavior():
-            raise SimulationError(
-                f"sub-component {entry.name!r} of {component.name!r} has no "
-                f"executable behaviour")
-
-    def _input_keys(entry):
-        # Pre-allocate the (sub, port) lookup keys once per schedule instead
-        # of building a tuple per port per tick on the hot path.
-        return tuple((port_name, (entry.name, port_name))
-                     for port_name in entry.input_names)
-
-    entries = tuple((entry.name, steps[entry.name], _input_keys(entry),
-                     entry.propagate) for entry in plan.entries)
-    corrections = tuple((entry.name, steps[entry.name], _input_keys(entry))
-                        for entry in plan.correction_entries())
-    track_corrections = bool(corrections)
-    boundary_propagate = plan.boundary_propagate
-    delayed_seed = plan.delayed_seed
-    delayed_commit = plan.delayed_commit
-    boundary_outputs = plan.boundary_outputs
-    output_names = tuple(component.output_names())
-    initial_state = component.initial_state
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        if state is None:
-            state = initial_state()
-        sub_states: Dict[str, Any] = dict(state["subs"])
-        delayed_buffers: Dict[str, Any] = dict(state["delayed"])
-
-        port_values: Dict[Tuple[Optional[str], str], Any] = {}
-        for name, value in inputs.items():
-            port_values[(None, name)] = value
-        for channel_name, dst_key, initial_value in delayed_seed:
-            port_values[dst_key] = delayed_buffers.get(channel_name,
-                                                       initial_value)
-        for src_key, dst_key in boundary_propagate:
-            if src_key in port_values:
-                port_values[dst_key] = port_values[src_key]
-
-        seen_inputs: Dict[str, Dict[str, Any]] = {}
-        for sub_name, sub_step, input_keys, propagate in entries:
-            sub_inputs = {port_name: port_values.get(key, ABSENT)
-                          for port_name, key in input_keys}
-            outputs, new_state = sub_step(sub_inputs,
-                                          sub_states.get(sub_name), tick)
-            if track_corrections:
-                seen_inputs[sub_name] = sub_inputs
-            sub_states[sub_name] = new_state
-            for port_name, value in outputs.items():
-                port_values[(sub_name, port_name)] = value
-            for src_key, dst_key in propagate:
-                if src_key in port_values:
-                    port_values[dst_key] = port_values[src_key]
-
-        # State-correction pass: a non-feedthrough sub-component evaluated
-        # before its producers saw stale inputs in its state update; re-run
-        # it from the original state with the final values (its outputs
-        # cannot change, mirroring the reference interpreter).
-        for sub_name, sub_step, input_keys in corrections:
-            final_inputs = {port_name: port_values.get(key, ABSENT)
-                            for port_name, key in input_keys}
-            if final_inputs != seen_inputs[sub_name]:
-                _, corrected_state = sub_step(
-                    final_inputs, state["subs"].get(sub_name), tick)
-                sub_states[sub_name] = corrected_state
-
-        boundary: Dict[str, Any] = {name: ABSENT for name in output_names}
-        for port_name, is_delayed, channel_name, initial_value, src_key \
-                in boundary_outputs:
-            if is_delayed:
-                boundary[port_name] = delayed_buffers.get(channel_name,
-                                                          initial_value)
-            else:
-                boundary[port_name] = port_values.get(src_key, ABSENT)
-
-        for channel_name, src_key in delayed_commit:
-            delayed_buffers[channel_name] = port_values.get(src_key, ABSENT)
-
-        return boundary, {"subs": sub_states, "delayed": delayed_buffers}
-
-    return CompiledSchedule(component, "composite", step, children)
-
-
-def _compile_gated(component: ClockGatedComponent) -> CompiledSchedule:
-    """Gate a compiled inner schedule by a cached clock pattern."""
-    inner = compile_nested(component.inner)
-    inner_step = inner.step
-    pattern = component.clock.cached()
-    output_names = tuple(component.output_names())
-    initial_state = component.initial_state
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        if state is None:
-            state = initial_state()
-        if not pattern.at(tick):
-            return {name: ABSENT for name in output_names}, state
-        inner_outputs, inner_state = inner_step(inputs, state["inner"], tick)
-        return dict(inner_outputs), {"inner": inner_state,
-                                     "pattern_cache": state.get("pattern_cache")}
-
-    return CompiledSchedule(component, "gated", step,
-                            [(component.inner.name, inner)])
-
-
-def _compile_mtd(component: ModeTransitionDiagram) -> CompiledSchedule:
-    """Precompute per-mode transition tables and compile mode behaviours.
-
-    Guards are lowered to closures and evaluated against the per-tick input
-    dict directly: the reference ``react`` builds ``environment =
-    dict(inputs)`` each tick, but the evaluator never mutates its
-    environment and the input dicts are fresh per tick (see
-    :func:`_compile_expression`), so the copy is pure overhead.
-    """
-    if not component.modes():
-        raise ModelError(f"MTD {component.name!r} has no modes")
-    compiler = component._evaluator.compile  # noqa: SLF001 - same evaluator
-    children: List[Tuple[str, CompiledSchedule]] = []
-    behaviors: Dict[str, Optional[Tuple[StepFunction, Tuple[str, ...]]]] = {}
-    for mode in component.modes():
-        if mode.behavior is None:
-            behaviors[mode.name] = None
-            continue
-        compiled = compile_nested(mode.behavior)
-        children.append((mode.name, compiled))
-        behaviors[mode.name] = (compiled.step,
-                                tuple(mode.behavior.input_names()))
-    transition_table = {
-        mode.name: tuple((compiler(t.guard), t.target, t.describe())
-                         for t in component.transitions_from(mode.name))
-        for mode in component.modes()}
-    output_names = tuple(component.output_names())
-    mode_port = (component.MODE_PORT if component.MODE_PORT in output_names
-                 else None)
-    initial_mode = component.initial_mode
-    initial_state = component.initial_state
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        if state is None:
-            state = initial_state()
-        current = state["mode"] or initial_mode
-        mode_states = dict(state["mode_states"])
-
-        fired_description = None
-        for guard, target, description in transition_table[current]:
-            value = guard(inputs)
-            if is_present(value) and bool(value):
-                fired_description = description
-                current = target
-                break
-
-        outputs: Dict[str, Any] = {name: ABSENT for name in output_names}
-        behavior = behaviors[current]
-        if behavior is not None:
-            behavior_step, behavior_inputs = behavior
-            sub_inputs = {name: inputs.get(name, ABSENT)
-                          for name in behavior_inputs}
-            mode_outputs, new_mode_state = behavior_step(
-                sub_inputs, mode_states.get(current), tick)
-            mode_states[current] = new_mode_state
-            outputs.update(mode_outputs)
-        if mode_port is not None:
-            outputs[mode_port] = current
-
-        return outputs, {"mode": current, "mode_states": mode_states,
-                         "last_transition": fired_description}
-
-    return CompiledSchedule(component, "mtd", step, children)
 
 
 #: Action-target classification for compiled STD transitions.
@@ -489,7 +279,7 @@ def _compile_std(component: StateTransitionDiagram) -> CompiledSchedule:
 
 
 #: Schedule backends accepted by :class:`CompiledSimulator` (sorted).
-_BACKENDS = ("auto", "batch", "flat", "native", "nested")
+_BACKENDS = ("auto", "batch", "flat", "native")
 
 
 class CompiledSimulator:
@@ -500,10 +290,10 @@ class CompiledSimulator:
     sweeps cheap.  Semantics, including every error path, match the
     reference engine.
 
-    *backend* selects the compilation strategy: ``"auto"`` (default) uses
-    the flat schedule IR whenever the component is flattenable and the
-    nested path otherwise; ``"flat"`` / ``"nested"`` force one of the two
-    (``"flat"`` raises :class:`SimulationError` for unflattenable roots).
+    *backend* selects the compilation strategy: ``"auto"`` (default) is
+    :func:`compile_component` -- the flat schedule IR for composite, gated
+    and MTD roots, the leaf step for leaf roots; ``"flat"`` forces the
+    flat IR (and raises :class:`SimulationError` for leaf roots).
     ``"batch"`` additionally lowers the flat program onto the vectorized
     battery backend (:mod:`repro.simulation.batch_ir`, requires NumPy and a
     flattenable root): single runs go through a one-lane sweep, and batch-
@@ -547,7 +337,7 @@ class CompiledSimulator:
                         "installed") from exc
                 self.schedule = compile_flat(component)
                 self.batch_schedule = BatchSchedule(self.schedule)
-            elif backend == "native":
+            else:
                 from .schedule_ir import compile_flat
                 from .native import compile_native, native_available
                 flat_schedule = compile_flat(component)
@@ -559,8 +349,6 @@ class CompiledSimulator:
                         "clang); falling back to the flat interpreter",
                         RuntimeWarning, stacklevel=2)
                     self.schedule = flat_schedule
-            else:
-                self.schedule = compile_nested(component)
             if span is not None:
                 span.attributes["kind"] = self.schedule.kind
 
@@ -585,17 +373,20 @@ class CompiledSimulator:
         if self.batch_schedule is not None and not recording:
             return self.batch_schedule.run_one(stimuli, ticks,
                                                self.check_types)
+        schedule = self.schedule
         if telemetry is None:
-            return run_stepped(self.component, self.schedule.step, stimuli,
+            return run_stepped(self.component, schedule.step, stimuli,
                                ticks, self.check_types,
-                               initial_state=self.schedule.initial_state())
-        step = telemetry.step_for(self.schedule) or self.schedule.step
+                               initial_state=schedule.initial_state(),
+                               mode_of=schedule.root_mode)
+        step = telemetry.step_for(schedule) or schedule.step
         with telemetry.tracer.span("run", component=self.component.name,
                                    backend=self.backend, ticks=ticks,
-                                   kind=self.schedule.kind):
+                                   kind=schedule.kind):
             return run_stepped(self.component, step, stimuli, ticks,
                                self.check_types,
-                               initial_state=self.schedule.initial_state())
+                               initial_state=schedule.initial_state(),
+                               mode_of=schedule.root_mode)
 
 
 def simulate_compiled(component: Component,

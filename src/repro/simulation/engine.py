@@ -96,7 +96,9 @@ def run_stepped(component: Component,
                                "tuple[Dict[str, Any], Any]"],
                 stimuli: Optional[Mapping[str, StimulusSpec]],
                 ticks: int, check_types: bool,
-                initial_state: Any = None) -> SimulationTrace:
+                initial_state: Any = None,
+                mode_of: Optional[Callable[[Any], Any]] = None
+                ) -> SimulationTrace:
     """The driver loop shared by the reference and the compiled engine.
 
     Validates the stimuli against *component*'s interface, then repeatedly
@@ -111,11 +113,16 @@ def run_stepped(component: Component,
     representation here (the flat engine's slot-based state); this also
     keeps very deep hierarchies runnable, where the recursive
     ``initial_state()`` walk would hit the Python recursion limit.
+
+    The mode history records an MTD root's mode after every tick: read by
+    *mode_of* from the step's state when given (a flat schedule's
+    ``root_mode``), else from the ``mode`` entry of a state dict.
     """
     feeds = prepare_feeds(component, stimuli, ticks)
 
     trace = SimulationTrace(component.name)
     state = component.initial_state() if initial_state is None else initial_state
+    mode_history = trace.mode_history
     for tick in range(ticks):
         inputs: Dict[str, Any] = {}
         for name, generator in feeds:
@@ -131,8 +138,10 @@ def run_stepped(component: Component,
                     check_value(value, component.port(name).port_type,
                                 context=f"{component.name}.{name}@t{tick}")
         trace.record_tick(inputs, outputs)
-        if isinstance(state, dict) and "mode" in state:
-            trace.mode_history.append(state["mode"])
+        if mode_of is not None:
+            mode_history.append(mode_of(state))
+        elif isinstance(state, dict) and "mode" in state:
+            mode_history.append(state["mode"])
     return trace
 
 

@@ -148,6 +148,7 @@ class NativeSchedule:
         self.input_spec = flat.input_spec
         self.output_spec = flat.output_spec
         self.fallback_paths = flat.fallback_paths
+        self.root_mode = flat.root_mode
         self.so_path = so_path
         self.lowered = lowered
         #: total trampoline re-entries (fallback ops + run-time bails);

@@ -3,13 +3,14 @@
 AutoMoDe's operational-architecture level is a *flattened* network of
 communicating blocks scheduled as one global cluster plan (paper Sec. 2.4):
 the hierarchical DFD/SSD description is a design artefact, while the
-deployed system executes a single linear schedule.  The nested compiled
-engine (:mod:`repro.simulation.compiled`) mirrors the *hierarchy* at run
-time -- every :class:`~repro.core.components.CompositeComponent` is a
-closure that re-marshals a dict environment at each boundary, every tick.
-This module mirrors the *deployment* instead: the whole hierarchy is
-compiled once into a :class:`FlatSchedule`, a linear program of opcodes
-over a flat slot environment.
+deployed system executes a single linear schedule.  The reference
+interpreter mirrors the *hierarchy* at run time -- every
+:class:`~repro.core.components.CompositeComponent` re-marshals a dict
+environment at each boundary, every tick.  This module mirrors the
+*deployment* instead: the whole hierarchy is compiled once into a
+:class:`FlatSchedule`, a linear program of opcodes over a flat slot
+environment.  It is the only compiler of composites, clock gates and
+mode-transition diagrams, at the root and inside a hierarchy.
 
 **Slot-based environments.**  Every port of every component occurrence in
 the hierarchy is assigned a fixed integer slot.  A tick allocates one flat
@@ -19,11 +20,11 @@ slot copies instead of ``(component, port)`` dict keys, and each leaf's
 input environment is built exactly once from its slots -- no per-composite
 dict construction, key translation or input re-filtering.
 
-**The program.**  Ten opcodes express the full semantics of the nested
-engine:
+**The program.**  Ten opcodes express the full semantics of the
+reference interpreter:
 
 * ``run``   -- execute one leaf step (gather inputs from slots, call the
-  nested-compiled step closure, scatter outputs to slots, forward its
+  leaf's compiled step closure, scatter outputs to slots, forward its
   instantaneous channels);
 * ``expr``  -- evaluate an expression block's compiled closures straight
   into its output slots;
@@ -40,7 +41,7 @@ engine:
   tick-start state with the final values, mirroring the reference
   interpreter's second pass;
 * ``mode`` / ``switch`` / ``jump`` -- a lowered
-  :class:`~repro.notations.mtd.ModeTransitionDiagram` leaf: ``mode``
+  :class:`~repro.notations.mtd.ModeTransitionDiagram`: ``mode``
   reads the machine's current mode (an int index kept in a delayed
   buffer), evaluates that mode's guards in priority order, commits the
   next mode and writes the ``mode`` port; ``switch`` -- a gate
@@ -48,7 +49,7 @@ engine:
   of the committed mode (straight to its end for a mode without
   behaviour); every region but the last ends in a ``jump`` to that end.
   Only the active region runs, so the other modes' states and buffers
-  carry over, exactly like the nested engine's ``mode_states``.
+  carry over, exactly like the interpreter's ``mode_states``.
 
 **Kernels.**  Each opcode's execution semantics is written once, as a
 kernel factory in :data:`SCALAR_KERNELS`: a plain closure per op over the
@@ -67,15 +68,16 @@ accepts the nested dict state produced by ``component.initial_state()``
 ``(inputs, state, tick) -> (outputs, state)`` step function for
 :func:`~repro.simulation.engine.run_stepped`.
 
-**Fallbacks.**  Subtrees the flattener cannot hoist -- composites or
-clock-gated wrappers with a custom ``react``, STDs, atomic blocks, MTDs
-whose behaviours cannot flatten (or that a correction barrier may have to
-re-run), and non-feedthrough composites (which must stay single steps so
-the correction barrier can re-run them atomically) -- are compiled on the
-nested path (:func:`~repro.simulation.compiled.compile_nested`) and
-embedded as single ``run`` ops; :meth:`FlatSchedule.ops_summary` labels
-unflattenable subtrees ``nested``.  Roots that are not composites (an MTD
-root, say) do not flatten at all.
+**Leaves and fallbacks.**  Leaves -- STDs, atomic blocks, expression
+blocks and components with a custom ``react`` -- compile to their leaf
+step (:func:`~repro.simulation.compiled.compile_leaf`) and become single
+``run`` ops (expression blocks ``expr`` ops).  A non-feedthrough
+composite, gate or machine that a correction barrier may have to re-run
+stays one ``run`` op too, stepping the subtree's own flat program so the
+barrier can re-run it atomically from its tick-start state;
+:meth:`FlatSchedule.ops_summary` labels such subtrees ``nested`` and
+:attr:`FlatSchedule.fallback_paths` lists them.  A leaf root does not
+flatten at all.
 
 Compilation is **iterative** (an explicit stack of emission generators plus
 the worklist helpers of :mod:`repro.core.components`), so hierarchies
@@ -86,6 +88,7 @@ initial state for.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -93,10 +96,11 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
 from ..core.components import (Component, CompositeComponent,
                                ExpressionComponent,
                                subtree_structure_tokens)
-from ..core.errors import SimulationError
+from ..core.errors import ModelError, SimulationError
 from ..core.values import ABSENT
 from ..notations.mtd import ModeTransitionDiagram
 from ..obs.context import maybe_span
+from .compiled import compile_leaf
 from .engine import ClockGatedComponent
 
 #: Opcodes of the flat program (tuple-encoded; executed through kernels).
@@ -457,22 +461,29 @@ Within = Tuple[Tuple[int, int], ...]
 
 
 class _Leaf:
-    """One leaf step of the flat program: a ``run`` op's nested-compiled
-    schedule or an ``expr`` op's expression block."""
+    """One leaf step of the flat program: a ``run`` op's compiled step (a
+    leaf compiler's, or a correction-barrier subtree's own flat program
+    in :attr:`schedule`) or an ``expr`` op's expression block."""
 
-    __slots__ = ("index", "component", "run_kind", "state_path",
-                 "steps_prefix", "mode_path", "within")
+    __slots__ = ("index", "component", "run_kind", "state_path", "path",
+                 "mode_path", "within", "schedule")
 
     def __init__(self, index: int, component: Component, run_kind: str,
-                 state_path: Tuple[str, ...], steps_prefix: str,
-                 mode_path: str, within: Within):
+                 state_path: Tuple[str, ...], path: str, mode_path: str,
+                 within: Within, schedule: Any = None):
         self.index = index
         self.component = component
         self.run_kind = run_kind
         self.state_path = state_path
-        self.steps_prefix = steps_prefix
+        self.path = path
         self.mode_path = mode_path
         self.within = within
+        self.schedule = schedule
+
+    def initial_state(self) -> Any:
+        if self.schedule is None:
+            return self.component.initial_state()
+        return self.schedule.initial_state()
 
 
 class _Machine:
@@ -500,20 +511,21 @@ class _Machine:
 
 
 def is_flattenable(component: Component) -> bool:
-    """True if *component* roots a hierarchy the flattener can hoist.
+    """True if *component* roots a hierarchy the flattener compiles.
 
-    Flattenable roots are composites with the default synchronous ``react``
-    and clock-gated wrappers (with the default ``react``) around such
-    composites, in any nesting.  Everything else -- MTDs, STDs, atomic
-    blocks, subclasses with a custom ``react`` -- executes on the nested
-    compiled path at the root (MTD *leaves* of a flattenable hierarchy
-    lower to flat ops, see :func:`is_lowerable_machine`).
+    Flattenable roots are clock-gated wrappers, composites and
+    mode-transition diagrams, each with the default ``react``.  Everything
+    else -- STDs, atomic and expression blocks, subclasses with a custom
+    ``react`` -- is a leaf: at the root it compiles to its leaf step
+    (:func:`~repro.simulation.compiled.compile_leaf`), inside a hierarchy
+    to one ``run`` (or ``expr``) op.
     """
-    while isinstance(component, ClockGatedComponent) \
-            and type(component).react is ClockGatedComponent.react:
-        component = component.inner
-    return (isinstance(component, CompositeComponent)
-            and type(component).react is CompositeComponent.react)
+    if isinstance(component, ClockGatedComponent):
+        return type(component).react is ClockGatedComponent.react
+    if isinstance(component, CompositeComponent):
+        return type(component).react is CompositeComponent.react
+    return isinstance(component, ModeTransitionDiagram) \
+        and type(component).react is ModeTransitionDiagram.react
 
 
 def _is_expression_block(component: Component) -> bool:
@@ -521,23 +533,17 @@ def _is_expression_block(component: Component) -> bool:
         and type(component).react is ExpressionComponent.react
 
 
-def is_lowerable_machine(component: Component) -> bool:
-    """True if *component* is an MTD the flattener lowers to ``mode`` /
-    ``switch`` ops: the default ``react``, at least one mode, and every
-    mode's behaviour absent, an expression block or itself flattenable.
-    Other machines (and every machine at the root) stay nested ``run``
-    leaves."""
-    if not isinstance(component, ModeTransitionDiagram) \
-            or type(component).react is not ModeTransitionDiagram.react:
-        return False
-    modes = component.modes()
-    return bool(modes) and all(
-        mode.behavior is None or _is_expression_block(mode.behavior)
-        or is_flattenable(mode.behavior) for mode in modes)
+@functools.lru_cache(maxsize=None)
+def _state_walk() -> Callable[..., Any]:
+    """:func:`repro.scenarios.report.active_mode_paths` -- the mode walk of
+    interpreter and leaf-step states -- imported once, on first use (the
+    scenarios package imports this one)."""
+    from ..scenarios.report import active_mode_paths
+    return active_mode_paths
 
 
 def _dig(state: Any, path: Tuple[str, ...]) -> Any:
-    """Navigate a nested engine state dict along *path* (None-tolerant)."""
+    """Navigate an interpreter state dict along *path* (None-tolerant)."""
     current = state
     for key in path:
         if not isinstance(current, Mapping):
@@ -550,14 +556,21 @@ class _Flattener:
     """One compile pass: hierarchy -> (ops, slots, leaves, buffers).
 
     Emission is driven by an explicit stack of generators (one per
-    composite/gated node being flattened), so compilation of arbitrarily
-    deep hierarchies never recurses in Python.  A single structure-token
-    map and instantaneous-dependency cache are shared across every
-    execution-plan build of the pass, keeping the whole compile O(n).
+    composite, gate or machine being flattened), so compilation of
+    arbitrarily deep hierarchies never recurses in Python.  A single
+    structure-token map and instantaneous-dependency cache are shared
+    across every execution-plan build of the pass, keeping the whole
+    compile O(n).  *steps_path* and *mode_path* name the root in the
+    enclosing hierarchy when the pass compiles a correction-barrier
+    subtree (its own name otherwise), so the subtree's steps and mode
+    paths read as part of the whole.
     """
 
-    def __init__(self, root: Component):
+    def __init__(self, root: Component, steps_path: Optional[str] = None,
+                 mode_path: Optional[str] = None):
         self.root = root
+        self.steps_path = steps_path or root.name
+        self.mode_path = mode_path or root.name
         self.n_slots = 0
         self.slot_names: List[str] = []
         self.ops: List[List[Any]] = []
@@ -590,29 +603,28 @@ class _Flattener:
 
     def flatten(self) -> "FlatSchedule":
         root = self.root
-        in_slots = {name: self._new_slot(f"{root.name}.{name}")
+        in_slots = {name: self._new_slot(f"{self.steps_path}.{name}")
                     for name in root.input_names()}
-        out_slots = {name: self._new_slot(f"{root.name}.{name}")
+        out_slots = {name: self._new_slot(f"{self.steps_path}.{name}")
                      for name in root.output_names()}
         stack: List[Iterator[Any]] = [self._emit_node(
-            root, in_slots, out_slots, (), root.name, root.name)]
+            root, in_slots, out_slots, (), self.steps_path, self.mode_path)]
         while stack:
             try:
                 child = next(stack[-1])
             except StopIteration:
                 stack.pop()
             else:
-                stack.append(child)
-        program = tuple(tuple(op) for op in self._merge_copies(self.ops))
-        input_spec = tuple((name, in_slots[name])
-                           for name in root.input_names())
-        output_spec = tuple((name, out_slots[name])
-                            for name in root.output_names())
+                if child is not None:
+                    stack.append(child)
+        program = tuple(map(tuple, self._merge_copies(self.ops)))
+        input_spec = tuple(in_slots.items())
+        output_spec = tuple(out_slots.items())
         return FlatSchedule(root, program, self.n_slots, input_spec,
                             output_spec, self.leaves, self.buffer_specs,
                             self.scratch_count, self._linear,
                             self.fallback_paths, tuple(self.slot_names),
-                            self.machines)
+                            self.machines, self.mode_path)
 
     def _merge_copies(self, ops: List[List[Any]]) -> List[List[Any]]:
         """Peephole pass: fuse adjacent ``copy`` ops into one.
@@ -624,6 +636,9 @@ class _Flattener:
         A copy that is a jump target is never fused into its predecessor;
         gate, switch and jump targets are then renumbered.
         """
+        if not any(op[0] == OP_COPY and ops[index - 1][0] == OP_COPY
+                   for index, op in enumerate(ops) if index):
+            return ops  # nothing to fuse (machine-only programs, say)
         jump_targets = set()
         for op in ops:
             if op[0] in (OP_GATE, OP_JUMP):
@@ -653,34 +668,101 @@ class _Flattener:
 
     def _emit_node(self, component: Component, in_slots: Dict[str, int],
                    out_slots: Dict[str, int], state_path: Tuple[str, ...],
-                   steps_path: str, mode_path: str) -> Iterator[Any]:
-        """Emit ops for a flattenable node (gated wrapper chain or composite).
+                   steps_path: str, mode_path: str,
+                   post: Tuple[Tuple[int, int], ...] = (),
+                   corrections: Optional[List[Any]] = None
+                   ) -> Optional[Iterator[Any]]:
+        """Emit the ops of *component* -- the root, a composite entry, a
+        mode's behaviour or a gate's inner component -- whose input and
+        output ports map, in port order, to *in_slots* / *out_slots*; then
+        *post*, the slot copies forwarding its outputs.
 
-        The wrapper's boundary ports *are* the inner component's (same
-        names, forwarded 1:1), so gating aliases the slots instead of
-        copying: when the gate clock is silent the region is jumped over
-        and the (shared) output slots simply stay absent.
+        A gate becomes a ``gate`` op over its inner component's region, a
+        composite its section and a machine ``mode``/``switch`` ops over
+        its mode regions: for these the generator emitting them is
+        returned, for :meth:`flatten`'s stack to drive.  An expression
+        block becomes an ``expr`` op and anything else one ``run`` op of
+        its leaf step, emitted at once (``None`` is returned).
+        *corrections* is the enclosing composite's barrier list when that
+        barrier may have to re-run the node: the node then stays one
+        correction-tracked ``run`` op -- over its own flat program, when
+        it has one -- so it re-runs atomically from its tick-start state,
+        exactly like the reference interpreter's second pass.
         """
-        if isinstance(component, ClockGatedComponent):
-            self._linear.append((steps_path, "gated"))
-            pattern = component.clock.cached()
-            gate = [OP_GATE, pattern.at, -1]
-            self.ops.append(gate)
-            inner = component.inner
-            yield self._emit_node(inner, in_slots, out_slots,
-                                  state_path + ("inner",),
-                                  f"{steps_path}/{inner.name}", mode_path)
-            gate[2] = len(self.ops)  # jump target: first op after the region
+        flattenable = is_flattenable(component)
+        if flattenable and corrections is None:
+            if isinstance(component, ClockGatedComponent):
+                emit = self._emit_gate
+            elif isinstance(component, CompositeComponent):
+                emit = self._emit_composite
+            else:
+                emit = self._emit_machine
+            return emit(component, in_slots, out_slots, state_path,
+                        steps_path, mode_path, post)
+        if _is_expression_block(component):
+            run_kind, schedule = "expr", None
+        elif flattenable:
+            run_kind = "nested"
+            schedule = _Flattener(component, steps_path, mode_path).flatten()
         else:
-            yield self._emit_composite(component, in_slots, out_slots,
-                                       state_path, steps_path, mode_path)
+            schedule = compile_leaf(component)
+            run_kind = schedule.kind
+        leaf = _Leaf(len(self.leaves), component, run_kind, state_path,
+                     steps_path, mode_path, self._within, schedule)
+        self.leaves.append(leaf)
+        in_spec = tuple(in_slots.items())
+        if schedule is None:
+            # evaluate the compiled closures straight into the slots: no
+            # step call, no output dict, and no correction tracking -- the
+            # state is a passthrough and a non-feedthrough expression reads
+            # none of the inputs a late producer could change.  Expressions
+            # for undeclared ports (or the machine's own mode port) are
+            # still evaluated, since evaluation may raise, but land nowhere.
+            self._linear.append((steps_path, "atomic"))
+            compiler = component._evaluator.compile  # noqa: SLF001
+            items = tuple((out_slots.get(name, -1), compiler(expression))
+                          for name, expression
+                          in component.output_expressions.items())
+            self.ops.append([OP_EXPR, leaf.index, in_spec, items, post])
+            return None
+        if flattenable:
+            self.fallback_paths.append(steps_path)
+            self._linear.extend(schedule.linear_steps())
+        else:
+            self._linear.append((steps_path, run_kind))
+        scratch = -1
+        if corrections is not None:
+            scratch = self.scratch_count
+            self.scratch_count += 1
+            corrections.append((scratch, leaf.index, schedule.step, in_spec))
+        self.ops.append([OP_RUN, leaf.index, schedule.step, in_spec,
+                         tuple(out_slots.items()), post, scratch])
+        return None
+
+    def _emit_gate(self, gate: ClockGatedComponent, in_slots: Dict[str, int],
+                   out_slots: Dict[str, int], state_path: Tuple[str, ...],
+                   steps_path: str, mode_path: str,
+                   post: Tuple[Tuple[int, int], ...]) -> Iterator[Any]:
+        """Emit a ``gate`` op jumping over the inner component's region
+        when the clock is silent.  The wrapper's ports *are* the inner
+        ones, so the slots are aliased: a skipped region leaves the shared
+        output slots absent, its leaf states and buffers unchanged."""
+        self._linear.append((steps_path, "gated"))
+        op = [OP_GATE, gate.clock.cached().at, -1]
+        self.ops.append(op)
+        inner = gate.inner
+        yield self._emit_node(inner, in_slots, out_slots,
+                              state_path + ("inner",),
+                              f"{steps_path}/{inner.name}", mode_path)
+        op[2] = len(self.ops)  # jump target: the first op after the region
+        if post:
+            self.ops.append([OP_COPY, post])
 
     def _emit_composite(self, composite: CompositeComponent,
                         in_slots: Dict[str, int], out_slots: Dict[str, int],
                         state_path: Tuple[str, ...], steps_path: str,
-                        mode_path: str) -> Iterator[Any]:
-        from .compiled import compile_nested
-
+                        mode_path: str,
+                        post: Tuple[Tuple[int, int], ...]) -> Iterator[Any]:
         self._linear.append((steps_path, "composite"))
         token = self._tokens.get(id(composite))
         if token is None:
@@ -724,10 +806,10 @@ class _Flattener:
         # Only then can the tick-start state update have seen stale inputs,
         # i.e. only then is the correction barrier live.  An entry whose
         # producers all precede it in plan order always sees final inputs,
-        # so the nested engine's compare-and-rerun provably never fires for
-        # it: such entries need no correction tracking, and non-feedthrough
-        # composites among them can be flattened instead of falling back to
-        # the nested path.
+        # so the reference interpreter's compare-and-rerun provably never
+        # fires for it: such entries need no correction tracking, and
+        # non-feedthrough composites, gates and machines among them can be
+        # flattened instead of running as one atomic step.
         n_entries = len(plan.entries)
         has_late_producer = [False] * n_entries
         suffix_writes: set = set()
@@ -737,88 +819,28 @@ class _Flattener:
                               if dst[0] is not None}
             has_late_producer[index] = entry.name in suffix_writes
 
-        # sub-components in plan order
-        corrections = []
+        # sub-components in plan order, then the correction barrier for
+        # the non-feedthrough entries with live late producers.  Flattened
+        # entries are not behaviour-checked here: their own sections check
+        # their entries, keeping the whole compile O(n) in hierarchy size.
+        corrections: List[Any] = []
         for index, entry in enumerate(plan.entries):
             sub = subs[entry.name]
-            propagate = tuple((slot_of(src), slot_of(dst))
-                              for src, dst in entry.propagate)
-            if is_flattenable(sub) \
-                    and (entry.has_feedthrough or not has_late_producer[index]):
-                slots = port_slots[entry.name]
-                yield self._emit_node(
-                    sub,
-                    {name: slots[name] for name in sub.input_names()},
-                    {name: slots[name] for name in sub.output_names()},
-                    state_path + ("subs", entry.name),
-                    f"{steps_path}/{entry.name}", f"{mode_path}/{entry.name}")
-                if propagate:
-                    self.ops.append([OP_COPY, propagate])
-                continue
-            if not sub.has_behavior():
+            barrier = not entry.has_feedthrough and has_late_producer[index]
+            if (barrier or not is_flattenable(sub)) \
+                    and not sub.has_behavior():
                 raise SimulationError(
                     f"sub-component {entry.name!r} of {composite.name!r} has "
                     f"no executable behaviour")
-            if is_lowerable_machine(sub) \
-                    and (entry.has_feedthrough or not has_late_producer[index]):
-                # same rule as composites: a machine the correction barrier
-                # may have to re-run stays one atomic run op
-                yield self._emit_machine(
-                    sub, port_slots[entry.name],
-                    state_path + ("subs", entry.name),
-                    f"{steps_path}/{entry.name}", f"{mode_path}/{entry.name}")
-                if propagate:
-                    self.ops.append([OP_COPY, propagate])
-                continue
-            # leaf: run the nested-compiled step as one op.  Non-feedthrough
-            # composites with live late producers deliberately stay nested --
-            # the correction barrier must be able to re-run them atomically
-            # from their tick-start state, exactly like the reference
-            # interpreter's second pass.  (Flattened children are not
-            # behaviour-checked here: their own sections check their
-            # entries, keeping the whole compile O(n) in hierarchy size.)
-            schedule = compile_nested(sub)
-            run_kind = schedule.kind
-            if isinstance(sub, (CompositeComponent, ClockGatedComponent)):
-                run_kind = "nested"
-                self.fallback_paths.append(f"{steps_path}/{entry.name}")
-            leaf = _Leaf(len(self.leaves), sub, run_kind,
-                         state_path + ("subs", entry.name), steps_path,
-                         f"{mode_path}/{entry.name}", self._within)
-            self.leaves.append(leaf)
-            self._linear.extend(schedule.linear_steps(steps_path))
             slots = port_slots[entry.name]
-            in_spec = tuple((name, slots[name]) for name in entry.input_names)
-            if _is_expression_block(sub):
-                # pure expression block: evaluate the compiled closures
-                # straight into the slots.  No step call, no output dict,
-                # and no correction tracking -- the state is a passthrough
-                # and a non-feedthrough expression reads none of the inputs
-                # a late producer could change, so the nested engine's
-                # compare-and-rerun is observably a no-op for it.
-                compiler = sub._evaluator.compile  # noqa: SLF001
-                leaf.run_kind = "expr"
-                # expressions for undeclared ports are still evaluated (the
-                # nested engine does, and evaluation may raise) but their
-                # values have no slot to land in
-                items = tuple((slots.get(name, -1), compiler(expression))
-                              for name, expression
-                              in sub.output_expressions.items())
-                self.ops.append([OP_EXPR, leaf.index, in_spec, items,
-                                 propagate])
-                continue
-            out_spec = tuple((name, slots[name])
-                             for name in sub.output_names())
-            scratch = -1
-            if not entry.has_feedthrough and has_late_producer[index]:
-                scratch = self.scratch_count
-                self.scratch_count += 1
-                corrections.append((scratch, leaf.index, schedule.step,
-                                    in_spec))
-            self.ops.append([OP_RUN, leaf.index, schedule.step, in_spec,
-                             out_spec, propagate, scratch])
-
-        # correction barrier for this composite's non-feedthrough entries
+            yield self._emit_node(
+                sub, {name: slots[name] for name in sub.input_names()},
+                {name: slots[name] for name in sub.output_names()},
+                state_path + ("subs", entry.name),
+                f"{steps_path}/{entry.name}", f"{mode_path}/{entry.name}",
+                tuple((slot_of(src), slot_of(dst))
+                      for src, dst in entry.propagate),
+                corrections if barrier else None)
         if corrections:
             self.ops.append([OP_CORRECT, tuple(corrections)])
 
@@ -838,20 +860,28 @@ class _Flattener:
                              for channel_name, src_key in plan.delayed_commit)
         if commit_pairs:
             self.ops.append([OP_BUF_WRITE, commit_pairs])
+        if post:
+            self.ops.append([OP_COPY, post])
 
     def _emit_machine(self, mtd: ModeTransitionDiagram,
-                      slots: Dict[str, int], state_path: Tuple[str, ...],
-                      steps_path: str, mode_path: str) -> Iterator[Any]:
+                      in_slots: Dict[str, int], out_slots: Dict[str, int],
+                      state_path: Tuple[str, ...], steps_path: str,
+                      mode_path: str,
+                      post: Tuple[Tuple[int, int], ...]) -> Iterator[Any]:
         """Emit a ``mode`` op, a ``switch`` and one region per mode with a
         behaviour, the regions separated by ``jump`` ops to the end.
 
         Mode-behaviour ports alias the machine's slots (a region writes the
         machine's outputs directly; only the active region runs, so every
-        other output stays absent); a behaviour input the machine does not
-        declare gets a slot nothing writes, so it reads absent.  Each
-        region's leaf states and buffers simply carry over while another
-        mode is active.
+        other output stays absent); a behaviour port the machine does not
+        declare -- or the machine's own ``mode`` port -- gets a slot of its
+        own, so an undeclared input reads absent and such an output lands
+        nowhere.  Each region's leaf states and buffers simply carry over
+        while another mode is active.
         """
+        modes = mtd.modes()
+        if not modes:
+            raise ModelError(f"MTD {mtd.name!r} has no modes")
         self._linear.append((steps_path, "mtd"))
         names = tuple(mtd.mode_names())
         index_of = {name: index for index, name in enumerate(names)}
@@ -866,85 +896,69 @@ class _Flattener:
             tuple((compiler(transition.guard), index_of[transition.target])
                   for transition in mtd.transitions_from(name))
             for name in names)
-        in_spec = tuple((name, slots[name]) for name in mtd.input_names())
-        mode_slot = slots[mtd.MODE_PORT] \
-            if mtd.MODE_PORT in mtd.output_names() else -1
-        self.ops.append([OP_MODE, len(self.machines) - 1, in_spec, table,
-                         buffer, mode_slot, names])
+        self.ops.append([OP_MODE, len(self.machines) - 1,
+                         tuple(in_slots.items()), table, buffer,
+                         out_slots.get(mtd.MODE_PORT, -1), names])
         switch = [OP_SWITCH, buffer, [], -1]
         self.ops.append(switch)
-        outputs = {name: slots[name] for name in mtd.output_names()
+        outputs = {name: slot for name, slot in out_slots.items()
                    if name != mtd.MODE_PORT}
-        inputs = {name: slots[name] for name in mtd.input_names()}
         starts: List[Optional[int]] = []
         exits = []
         outer = self._within
-        for index, mode in enumerate(mtd.modes()):
+        for index, mode in enumerate(modes):
             behavior = mode.behavior
             if behavior is None:
                 starts.append(None)
                 continue
-            if any(start is not None for start in starts):
+            if starts.count(None) < len(starts):  # a region precedes
                 exit_jump = [OP_JUMP, -1]
                 self.ops.append(exit_jump)
                 exits.append(exit_jump)
             starts.append(len(self.ops))
             path = f"{steps_path}/{behavior.name}"
-            region_in = {name: inputs[name] if name in inputs
-                         else self._new_slot(f"{path}.{name}")
-                         for name in behavior.input_names()}
+            region_in: Dict[str, int] = {}
+            region_out: Dict[str, int] = {}
+            for port in behavior.ports():
+                name = port.name
+                slots, region = (in_slots, region_in) if port.is_input() \
+                    else (outputs, region_out)
+                slot = slots.get(name)
+                region[name] = self._new_slot(f"{path}.{name}") \
+                    if slot is None else slot
             self._within = outer + ((buffer, index),)
-            if _is_expression_block(behavior):
-                self._linear.append((path, "atomic"))
-                leaf = _Leaf(len(self.leaves), behavior, "expr",
-                             state_path + ("mode_states", mode.name),
-                             steps_path, f"{mode_path}/{mode.name}",
-                             self._within)
-                self.leaves.append(leaf)
-                behavior_compiler = behavior._evaluator.compile  # noqa: SLF001
-                # the mode port and undeclared outputs are computed (the
-                # nested engine evaluates them, and evaluation may raise)
-                # but land nowhere
-                items = tuple((outputs.get(name, -1),
-                               behavior_compiler(expression))
-                              for name, expression
-                              in behavior.output_expressions.items())
-                self.ops.append([OP_EXPR, leaf.index,
-                                 tuple(region_in.items()), items, ()])
-            else:
-                region_out = {name: outputs[name] if name in outputs
-                              else self._new_slot(f"{path}.{name}")
-                              for name in behavior.output_names()}
-                yield self._emit_node(
-                    behavior, region_in, region_out,
-                    state_path + ("mode_states", mode.name), path,
-                    f"{mode_path}/{mode.name}")
-                if len(self.ops) == starts[-1]:
-                    # a behaviour without ops: the mode jumps to the end
-                    starts[-1] = None
-                    if exits and exits[-1] is self.ops[-1]:
-                        self.ops.pop()
-                        exits.pop()
+            yield self._emit_node(
+                behavior, region_in, region_out,
+                state_path + ("mode_states", mode.name), path,
+                f"{mode_path}/{mode.name}")
             self._within = outer
+            if len(self.ops) == starts[-1]:
+                # a behaviour without ops: the mode jumps to the end
+                starts[-1] = None
+                if exits and exits[-1] is self.ops[-1]:
+                    self.ops.pop()
+                    exits.pop()
         end = len(self.ops)
         switch[2] = [(name, end if start is None else start)
                      for name, start in zip(names, starts)]
         switch[3] = end
         for exit_jump in exits:
             exit_jump[1] = end
+        if post:
+            self.ops.append([OP_COPY, post])
 
 
 class FlatSchedule:
     """A component hierarchy compiled into one linear slot program.
 
-    Drop-in replacement for the nested
-    :class:`~repro.simulation.compiled.CompiledSchedule`: ``step`` has the
-    same ``(inputs, state, tick) -> (outputs, state)`` signature (state as
-    :class:`FlatState`, with nested dict states converted on entry), and
-    :meth:`linear_steps` / :meth:`describe` keep the hierarchical-path
-    naming contract of ``CompiledSchedule.linear_steps`` exactly, so debug
-    output and path-keyed reports are stable across engines.  The IR itself
-    is inspectable through :meth:`ops_summary`.
+    Shares the contract of the leaf schedules
+    (:class:`~repro.simulation.compiled.CompiledSchedule`): ``step`` has
+    the ``(inputs, state, tick) -> (outputs, state)`` signature (state as
+    :class:`FlatState`, with interpreter dict states converted on entry),
+    and :meth:`linear_steps` / :meth:`describe` name every node by its
+    hierarchical path and kind, so debug output and path-keyed reports are
+    stable across backends.  The IR itself is inspectable through
+    :meth:`ops_summary`.
     """
 
     kind = "flat"
@@ -957,8 +971,12 @@ class FlatSchedule:
                  scratch_count: int, linear: List[Tuple[str, str]],
                  fallback_paths: List[str],
                  slot_names: Tuple[str, ...] = (),
-                 machines: Sequence[_Machine] = ()):
+                 machines: Sequence[_Machine] = (),
+                 mode_path: Optional[str] = None):
         self.component = component
+        #: the root's mode path: its name, or its path in the enclosing
+        #: hierarchy for a correction-barrier sub-program
+        self._mode_path = mode_path or component.name
         self.program = program
         self.n_slots = n_slots
         self.leaves = leaves
@@ -967,10 +985,16 @@ class FlatSchedule:
         #: the MTDs lowered to ``mode``/``switch`` ops, in program order
         self.machines = list(machines)
         #: mode_paths sources in program order: lowered machines, and the
-        #: run leaves whose nested state may hold machines
+        #: run leaves whose state may hold machines
         self._mode_sources = [
             self.machines[op[1]] if op[0] == OP_MODE else leaves[op[1]]
             for op in program if op[0] in (OP_MODE, OP_RUN)]
+        #: ``state -> mode name`` of an MTD root (its trace's
+        #: ``mode_history``); None for every other root
+        self.root_mode: Optional[Callable[[FlatState], Any]] = None
+        if self.machines and not self.machines[0].state_path:
+            names, buffer = self.machines[0].names, self.machines[0].buffer
+            self.root_mode = lambda state: names[state.buffers[buffer]]
         #: hierarchical ``path.port`` label per slot (forensics decoding)
         self.slot_names = slot_names
         #: ``(port_name, slot)`` pairs scattered from the inputs each tick
@@ -987,12 +1011,11 @@ class FlatSchedule:
 
     def initial_state(self) -> FlatState:
         """The flat initial state (built iteratively: deep-hierarchy safe)."""
-        return FlatState([leaf.component.initial_state()
-                          for leaf in self.leaves],
+        return FlatState([leaf.initial_state() for leaf in self.leaves],
                          [spec[0] for spec in self.buffer_specs])
 
     def _convert_state(self, state: Any) -> FlatState:
-        """Adopt a nested engine state dict (or ``None``) as a FlatState."""
+        """Adopt an interpreter state dict (or ``None``) as a FlatState."""
         if state is None:
             return self.initial_state()
         leaf_states = [_dig(state, leaf.state_path) for leaf in self.leaves]
@@ -1002,7 +1025,7 @@ class FlatSchedule:
             buffers.append(delayed.get(channel_name, initial)
                            if isinstance(delayed, Mapping) else initial)
         for machine in self.machines:
-            # a machine's buffer holds the index of its nested ``mode``
+            # a machine's buffer holds the index of its state's ``mode``
             name = _dig(state, machine.state_path + ("mode",))
             if name:
                 buffers[machine.buffer] = machine.names.index(name)
@@ -1020,6 +1043,9 @@ class FlatSchedule:
         output_spec = self.output_spec
         convert = self._convert_state
         absent = ABSENT
+        # only run ops (the leaves with a step) write leaf states, so a
+        # program without them shares one leaf-state list across ticks
+        writes_states = any(leaf.schedule is not None for leaf in self.leaves)
 
         def step(inputs: Mapping[str, Any], state: Any,
                  tick: int) -> Tuple[Dict[str, Any], Any]:
@@ -1028,9 +1054,10 @@ class FlatSchedule:
             values = [absent] * n_slots
             for name, slot in input_spec:
                 values[slot] = inputs.get(name, absent)
-            frame = Frame(inputs, tick, state.leaf_states,
-                          state.leaf_states[:], state.buffers,
-                          state.buffers[:], [None] * n_scratch)
+            leaf_states = state.leaf_states
+            frame = Frame(inputs, tick, leaf_states,
+                          leaf_states[:] if writes_states else leaf_states,
+                          state.buffers, state.buffers[:], [None] * n_scratch)
             run_kernels(kernels, values, frame)
             outputs = {}
             for name, slot in output_spec:
@@ -1097,10 +1124,10 @@ class FlatSchedule:
     def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
         """The flattened schedule: ``(hierarchical path, kind)`` per node.
 
-        Identical paths and kinds to
-        :meth:`~repro.simulation.compiled.CompiledSchedule.linear_steps` on
-        the same component (the pin test in ``tests/test_flat_schedule.py``
-        enforces this), so path-keyed debug output is engine-independent.
+        Kinds are ``composite``, ``gated``, ``mtd``, ``std`` and
+        ``atomic``, in emission order, with the naming format of
+        :meth:`~repro.simulation.compiled.CompiledSchedule.linear_steps`
+        (pinned in ``tests/test_flat_schedule.py``).
         """
         if not prefix:
             return list(self._linear)
@@ -1116,10 +1143,10 @@ class FlatSchedule:
         ``(kind name, human label, runs-on-nested-fallback)``.
 
         ``run``/``expr`` labels name the leaf's hierarchical path and
-        compilation kind (``nested`` marks unflattenable subtrees running
-        on the nested fallback path); ``mode`` labels name the machine with
-        its mode and transition counts; ``gate``, ``switch`` and ``jump``
-        labels show their jump targets.
+        compilation kind (``nested`` marks a correction-barrier subtree
+        running as one step of its own flat program); ``mode`` labels name
+        the machine with its mode and transition counts; ``gate``,
+        ``switch`` and ``jump`` labels show their jump targets.
         The nested flag lets profiles report fallback activity without
         re-deriving it.
         """
@@ -1137,8 +1164,7 @@ class FlatSchedule:
                 label = f"-> {op[1]}"
             elif code in (OP_RUN, OP_EXPR):
                 leaf = self.leaves[op[1]]
-                label = (f"{leaf.steps_prefix}/{leaf.component.name} "
-                         f"[{leaf.run_kind}]")
+                label = f"{leaf.path} [{leaf.run_kind}]"
                 if code == OP_RUN and op[6] >= 0:
                     label += " (correction-tracked)"
                 nested = leaf.run_kind == "nested"
@@ -1167,26 +1193,30 @@ class FlatSchedule:
         and values, read positionally from the flat state instead of
         walking nested dicts.
         """
-        from ..scenarios.report import active_mode_paths
-        if state is None:
-            return {}
-        if type(state) is not FlatState:
-            return active_mode_paths(self.component, state)
         out: Dict[str, Any] = {}
+        if state is not None:
+            self._collect_modes(state, out)
+        return out
+
+    def _collect_modes(self, state: Any, out: Dict[str, Any]) -> None:
+        if type(state) is not FlatState:
+            _state_walk()(self.component, state, self._mode_path, out)
+            return
         buffers = state.buffers
         leaf_states = state.leaf_states
         for source in self._mode_sources:
             # only the machines of active mode regions report, exactly like
             # the nested walk descends into the active mode only
-            if any(buffers[buffer] != mode for buffer, mode in source.within):
+            if source.within and any(buffers[buffer] != mode
+                                     for buffer, mode in source.within):
                 continue
             if type(source) is _Machine:
                 out[source.mode_path] = source.names[buffers[source.buffer]]
+            elif type(source.schedule) is FlatSchedule:
+                source.schedule._collect_modes(leaf_states[source.index], out)
             else:
-                active_mode_paths(source.component,
-                                  leaf_states[source.index],
-                                  source.mode_path, out)
-        return out
+                _state_walk()(source.component, leaf_states[source.index],
+                              source.mode_path, out)
 
     def __repr__(self) -> str:
         return (f"FlatSchedule({self.component.name!r}, "
@@ -1197,15 +1227,15 @@ class FlatSchedule:
 def compile_flat(component: Component) -> FlatSchedule:
     """Compile *component* into a :class:`FlatSchedule`.
 
-    Raises :class:`SimulationError` if the root is not flattenable (use
-    :func:`~repro.simulation.compiled.compile_component`, which falls back
-    to the nested path automatically).
+    Raises :class:`SimulationError` if the root is a leaf (use
+    :func:`~repro.simulation.compiled.compile_component`, which compiles
+    leaf roots to their leaf step).
     """
     if not is_flattenable(component):
         raise SimulationError(
             f"component {component.name!r} ({type(component).__name__}) is "
-            "not flattenable: the flat schedule IR requires a composite "
-            "hierarchy (or clock-gated composite) with the default "
+            "not flattenable: the flat schedule IR requires a composite, "
+            "clock-gated or mode-transition root with the default "
             "synchronous react")
     with maybe_span("compile.flatten", component=component.name) as span:
         schedule = _Flattener(component).flatten()

@@ -1,10 +1,10 @@
-"""Five-backend differential fuzz: interpreter vs nested vs flat vs batch
-vs native.
+"""Differential fuzz: interpreter vs flat vs batch vs native.
 
 Random flattenable models (expression blocks with randomized base-language
 source, delayed feedback, clock-gated subtrees, MTD leaves -- plus a
 machine-heavy model kind with randomized guards, behaviour-less modes and
-gated MTDs) crossed with
+gated MTDs, and random roots: MTDs, gated MTDs and STDs, composites with a
+correction-barrier entry) crossed with
 random batteries (unequal tick counts, missing stimuli, ABSENT-laced
 streams, huge integers, zero divisors) must agree across all the
 execution backends: identical traces -- value AND Python type, so an
@@ -32,6 +32,7 @@ from repro.io import trace_to_json
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
+from repro.notations.std import StateTransitionDiagram
 from repro.scenarios import Scenario, active_mode_paths, execute_scenario
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               Simulator, compile_batch, native_available)
@@ -224,10 +225,9 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
     battery = _battery(rng, model, size=rng.randint(3, 8))
 
     interpreter = Simulator(model)
-    nested = CompiledSimulator(model, backend="nested")
     flat = CompiledSimulator(model, backend="flat")
     outcomes = compile_batch(model).run_battery(battery)
-    runners = [("nested", nested.run), ("flat", flat.run)]
+    runners = [("flat", flat.run)]
     if _HAS_NATIVE:
         native = CompiledSimulator(model, backend="native")
         runners.append(("native", native.run))
@@ -395,7 +395,7 @@ def test_five_backends_agree_on_machine_models(seed):
     model = _build_machine_model(rng, seed)
     battery = _battery(rng, model, size=rng.randint(3, 8))
 
-    backends = ["nested", "flat"] + (["native"] if _HAS_NATIVE else [])
+    backends = ["flat"] + (["native"] if _HAS_NATIVE else [])
     simulators = {backend: CompiledSimulator(model, backend=backend)
                   for backend in backends}
     outcomes = compile_batch(model).run_battery(battery, collect_modes=True)
@@ -494,7 +494,7 @@ def test_machines_with_composite_behaviours_agree_on_all_backends():
                 {"x": Stream([rng.randint(-5, 8) for _ in range(40)]),
                  "y": Stream([rng.randint(-3, 5) for _ in range(40)])}, 40)
                for index in range(4)]
-    backends = ["nested", "flat"] + (["native"] if _HAS_NATIVE else [])
+    backends = ["flat"] + (["native"] if _HAS_NATIVE else [])
     simulators = {backend: CompiledSimulator(model, backend=backend)
                   for backend in backends}
     assert [op[0] for op in simulators["flat"].schedule.program].count(
@@ -537,6 +537,202 @@ def test_lowered_machines_resume_from_nested_states():
             assert got == wanted, (backend, tick)
             assert schedule.mode_paths(current) == \
                 active_mode_paths(model, expected), (backend, tick)
+
+
+# -- random roots --------------------------------------------------------------
+
+#: The root kinds of :func:`_build_root_model`, cycled by seed.
+_ROOT_KINDS = ("mtd", "gated_mtd", "gated_std", "barrier_composite",
+               "barrier_mtd")
+
+
+def _std_block(rng, name, outputs=("out",)):
+    """A two-state STD over ``a``/``b`` with a counter variable, random
+    guards, an output action and a state emission on each declared
+    output (none when *outputs* is empty)."""
+    std = StateTransitionDiagram(name)
+    std.add_input("a")
+    std.add_input("b")
+    for port in outputs:
+        std.add_output(port)
+    std.add_variable("n", rng.randint(0, 2))
+    emit = {"out": "n * 10"} if "out" in outputs else {}
+    std.add_state("Idle", initial=True, emissions=emit)
+    std.add_state("Busy", emissions=emit)
+    bump = {"n": "n + 1"}
+    if "out" in outputs:
+        bump["out"] = rng.choice(["a - n", "b"])
+    std.add_transition("Idle", "Busy", rng.choice(_GUARD_SOURCES),
+                       actions=bump)
+    std.add_transition("Busy", "Idle", rng.choice(_GUARD_SOURCES),
+                       priority=1)
+    std.add_transition("Busy", "Busy", "n < 3", actions={"n": "n + 1"})
+    return std
+
+
+def _accumulator(name):
+    """A composite ``out = a + previous out`` closed through a UnitDelay."""
+    acc = DataFlowDiagram(name)
+    acc.add_input("a")
+    acc.add_output("out")
+    add = ExpressionComponent("Add", {"out": "a + z"})
+    add.add_input("a")
+    add.add_input("z")
+    add.add_output("out")
+    acc.add_subcomponent(add)
+    acc.add_subcomponent(UnitDelay("Z", initial=1))
+    acc.connect("a", "Add.a")
+    acc.connect("Add.out", "Z.in1")
+    acc.connect("Z.out", "Add.z")
+    acc.connect("Add.out", "out")
+    return acc
+
+
+def _wrapped_block(rng, name):
+    """A composite holding one random expression block."""
+    wrapper = DataFlowDiagram(name)
+    wrapper.add_input("a")
+    wrapper.add_input("b")
+    wrapper.add_output("out")
+    wrapper.add_subcomponent(_expression_block(rng, "E"))
+    wrapper.connect("a", "E.a")
+    wrapper.connect("b", "E.b")
+    wrapper.connect("E.out", "out")
+    return wrapper
+
+
+def _root_machine(rng, name, outputs=("out", "mode")):
+    """An MTD with 2-4 modes, each an expression block, a composite (the
+    accumulator holds a UnitDelay), an STD or no behaviour; the first
+    three modes cover the expression, accumulator and STD kinds in a
+    random order.  Without outputs, the modes are output-less STDs or
+    empty."""
+    mtd = ModeTransitionDiagram(name)
+    mtd.add_input("a")
+    mtd.add_input("b")
+    for port in outputs:
+        mtd.add_output(port)
+    names = [f"M{index}" for index in range(rng.randint(2, 4))]
+    kinds = ["expr", "acc", "std"]
+    rng.shuffle(kinds)
+    for index, mode_name in enumerate(names):
+        kind = kinds[index] if index < len(kinds) \
+            else rng.choice(["expr", "wrapped", "std", None])
+        if "out" not in outputs:
+            kind = "quiet" if kind in ("std", "acc") else None
+        behavior = {
+            "expr": lambda: _expression_block(rng, f"{mode_name}E"),
+            "acc": lambda: _accumulator(f"{mode_name}Acc"),
+            "wrapped": lambda: _wrapped_block(rng, f"{mode_name}W"),
+            "std": lambda: _std_block(rng, f"{mode_name}S"),
+            "quiet": lambda: _std_block(rng, f"{mode_name}S", outputs=()),
+            None: lambda: None}[kind]()
+        mtd.add_mode(mode_name, behavior)
+    for mode_name in names:
+        for _ in range(rng.randint(1, 2)):
+            target = rng.choice([other for other in names
+                                 if other != mode_name])
+            mtd.add_transition(mode_name, target, rng.choice(_GUARD_SOURCES),
+                               priority=rng.randint(0, 2))
+    return mtd
+
+
+def _barrier_root(rng, index, machine):
+    """A composite whose entry ``A`` -- a non-feedthrough composite (a
+    delay line) or an output-less MTD, maybe clock-gated -- is scheduled
+    before its producer ``P``: the correction barrier must re-run it."""
+    top = DataFlowDiagram(f"Barrier{index}")
+    top.add_input("x")
+    top.add_input("y")
+    top.add_output("out")
+    if machine:
+        entry = _root_machine(rng, "A", outputs=())
+    else:
+        entry = DataFlowDiagram("A")
+        entry.add_input("a")
+        entry.add_input("b")
+        entry.add_output("out")
+        entry.add_subcomponent(UnitDelay("Z", initial=rng.randint(0, 3)))
+        entry.connect("a", "Z.in1")
+        entry.connect("Z.out", "out")
+    if rng.random() < 0.5:
+        entry = ClockGatedComponent(entry, every(rng.randint(2, 3)), name="A")
+    producer = ExpressionComponent(
+        "P", {"out": rng.choice(["x + fb", "x * 2 - fb", "x"])})
+    producer.add_input("x")
+    producer.add_input("fb")
+    producer.add_output("out")
+    top.add_subcomponent(entry)
+    top.add_subcomponent(producer)
+    top.connect("x", "P.x")
+    top.connect("P.out", "A.a")        # A runs before P: a late producer
+    top.connect("y", "A.b")
+    if machine:
+        top.connect("y", "P.fb")
+    else:
+        top.connect("A.out", "P.fb")
+    top.connect("P.out", "out")
+    return top
+
+
+def _build_root_model(rng, index):
+    """One root of kind ``_ROOT_KINDS[index % 5]``: an MTD, a gated MTD, a
+    gated STD, or a composite with a correction-barrier entry."""
+    kind = _ROOT_KINDS[index % len(_ROOT_KINDS)]
+    if kind == "mtd":
+        return _root_machine(rng, f"Root{index}")
+    if kind == "gated_mtd":
+        return ClockGatedComponent(_root_machine(rng, "M"),
+                                   every(rng.randint(2, 3)),
+                                   name=f"Root{index}")
+    if kind == "gated_std":
+        return ClockGatedComponent(_std_block(rng, "S", ("out", "state")),
+                                   every(rng.randint(2, 3)),
+                                   name=f"Root{index}")
+    return _barrier_root(rng, index, machine=kind == "barrier_mtd")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_backends_agree_on_random_roots(seed):
+    """MTD roots (expression, composite, STD and empty modes), gated MTD
+    and STD roots and composites with a correction-barrier entry: flat,
+    batch and native match the interpreter -- trace bytes with
+    ``mode_history``, exception type, message and tick, and the
+    ``collect_modes`` histories."""
+    rng = random.Random(6600 + seed)
+    model = _build_root_model(rng, seed)
+    battery = _battery(rng, model, size=rng.randint(3, 8))
+    interpreter = Simulator(model)
+    backends = ["flat", "batch"] + (["native"] if _HAS_NATIVE else [])
+    simulators = {backend: CompiledSimulator(model, backend=backend)
+                  for backend in backends}
+    outcomes = compile_batch(model).run_battery(battery, collect_modes=True)
+    for (name, stimuli, ticks), outcome in zip(battery, outcomes):
+        expected = _pinned_outcome(interpreter.run, stimuli, ticks)
+        histories = None
+        if expected[1] is None:
+            _trace, histories = _interpreter_histories(model, stimuli, ticks)
+        results = [("batch sweep", outcome)]
+        for backend, simulator in simulators.items():
+            assert _pinned_outcome(simulator.run, stimuli, ticks) \
+                == expected, (seed, name, backend)
+            results.append((backend, execute_scenario(
+                simulator, Scenario(name, stimuli, ticks),
+                collect_modes=True)))
+        for backend, result in results:
+            if histories is None:
+                assert result.error == "{0.__name__}: {1}".format(
+                    *expected[1][:2]), (seed, name, backend)
+            else:
+                assert trace_to_json(result.trace) == expected[0], \
+                    (seed, name, backend)
+                assert result.mode_paths == histories, (seed, name, backend)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(10, 50))
+def test_random_root_fuzz_extended(seed):
+    test_backends_agree_on_random_roots(seed)
 
 
 # -- lint-clean property -------------------------------------------------------

@@ -164,11 +164,12 @@ def test_compiled_simulator_batch_backend_single_run():
                            sim.run(stimuli, 4))
 
 
-def test_batch_backend_rejects_unflattenable_roots():
+def test_batch_backend_rejects_unflattenable_roots(crank_sequencer_std):
+    # a leaf root (here an STD) has no flat program to widen
     with pytest.raises(SimulationError, match="not flattenable"):
-        CompiledSimulator(modes_mtd(), backend="batch")
+        CompiledSimulator(crank_sequencer_std, backend="batch")
     with pytest.raises(SimulationError, match="not flattenable"):
-        compile_batch(modes_mtd())
+        compile_batch(crank_sequencer_std)
 
 
 def test_scenario_suite_batch_matches_auto():

@@ -5,10 +5,11 @@ The differential suites in ``tests/test_compiled_equivalence.py`` and the
 golden traces already run on the flat path (it is what
 :func:`repro.simulation.compile_component` now produces for flattenable
 roots); this module pins the *contracts* of the new layer: which roots
-flatten, that ``linear_steps``/``describe`` keep the nested naming format,
+flatten, that ``linear_steps``/``describe`` keep the hierarchical naming
+format,
 that compilation is iterative (5000-level regression), that clock-gated
 subtrees hold state and suppress emissions across skip ticks exactly like
-the interpreter, and that the nested fallback and correction barrier
+the interpreter, and that correction-barrier subtrees and barriers
 appear exactly where the semantics require them.
 """
 
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+from repro.casestudy import build_crank_sequencer_std
 from repro.core.components import ExpressionComponent
 from repro.core.clocks import EventClock, every
 from repro.core.values import ABSENT, Stream
@@ -25,8 +27,7 @@ from repro.notations.mtd import ModeTransitionDiagram
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               FlatSchedule, FlatState, ScenarioSuite,
                               Simulator, build_gated_ccd, compile_component,
-                              compile_flat, compile_nested, first_difference,
-                              is_flattenable)
+                              compile_flat, first_difference, is_flattenable)
 
 
 def assert_engines_agree(component, stimuli, ticks):
@@ -88,10 +89,10 @@ def modes_mtd(name="Modes"):
 def gated_mtd_system(clock, direct=False):
     """An MTD under a clock gate inside a flattenable hierarchy.
 
-    ``direct=False`` gates a composite that *contains* the MTD (the gate
-    becomes a flat-IR gating predicate over hoisted leaf ops);
-    ``direct=True`` gates the MTD itself (the whole wrapper stays a nested
-    ``gated`` leaf).  Both must match the interpreter tick for tick.
+    ``direct=False`` gates a composite that *contains* the MTD,
+    ``direct=True`` gates the MTD itself; either way the gate becomes a
+    flat-IR gating predicate over the lowered machine.  Both must match
+    the interpreter tick for tick.
     """
     if direct:
         gated = ClockGatedComponent(modes_mtd(), clock, name="Plant")
@@ -135,12 +136,17 @@ def test_compile_component_selects_flat_for_flattenable_roots():
     assert isinstance(compile_component(gated), FlatSchedule)
 
     mtd = modes_mtd()
-    assert not is_flattenable(mtd)
-    assert compile_component(mtd).kind == "mtd"
+    assert is_flattenable(mtd)
+    assert isinstance(compile_component(mtd), FlatSchedule)
 
     gated_mtd = ClockGatedComponent(modes_mtd(), every(2))
-    assert not is_flattenable(gated_mtd)
-    assert compile_component(gated_mtd).kind == "gated"
+    assert is_flattenable(gated_mtd)
+    assert isinstance(compile_component(gated_mtd), FlatSchedule)
+
+    # leaf roots compile to their leaf step
+    std = build_crank_sequencer_std()
+    assert not is_flattenable(std)
+    assert compile_component(std).kind == "std"
 
 
 def test_custom_react_composite_is_not_flattened():
@@ -165,7 +171,7 @@ def test_custom_react_composite_is_not_flattened():
 def test_compile_flat_rejects_unflattenable_roots():
     from repro.core.errors import SimulationError
     with pytest.raises(SimulationError, match="not flattenable"):
-        compile_flat(modes_mtd())
+        compile_flat(build_crank_sequencer_std())
     with pytest.raises(SimulationError, match="unknown schedule backend"):
         CompiledSimulator(accumulator_in_composite(), backend="turbo")
 
@@ -200,18 +206,33 @@ def test_linear_steps_pin_exact_format():
 
 
 @pytest.mark.parametrize("direct", [False, True])
-def test_linear_steps_match_nested_engine_exactly(direct):
-    model = gated_mtd_system(every(3), direct=direct)
-    flat = compile_flat(model)
-    nested = compile_nested(model)
-    assert flat.linear_steps() == nested.linear_steps()
-    assert flat.describe() == nested.describe()
+def test_linear_steps_pin_gated_mtd_format(direct):
+    flat = compile_flat(gated_mtd_system(every(3), direct=direct))
+    plant = ([("Sys/Plant/Modes", "mtd")] if direct
+             else [("Sys/Plant/PlantCore", "composite"),
+                   ("Sys/Plant/PlantCore/Scale", "atomic"),
+                   ("Sys/Plant/PlantCore/Modes", "mtd")])
+    modes = plant[-1][0]
+    assert flat.linear_steps() == [
+        ("Sys", "composite"), ("Sys/Pre", "atomic"), ("Sys/Plant", "gated"),
+        *plant, (f"{modes}/LowB", "atomic"), (f"{modes}/HighB", "atomic")]
+    assert flat.describe().splitlines()[2] == "     gated  Sys/Plant"
 
 
-def test_linear_steps_match_nested_engine_on_gated_ccd(engine_ccd):
-    gated = build_gated_ccd(engine_ccd)
-    flat = compile_flat(gated)
-    assert flat.linear_steps() == compile_nested(gated).linear_steps()
+def test_linear_steps_pin_gated_ccd_format(engine_ccd):
+    flat = compile_flat(build_gated_ccd(engine_ccd))
+    root = "SimplifiedEngineController_gated"
+    expected = [(root, "composite")]
+    for cluster, leaves in (
+            ("IdleSpeed", ["IdleController"]),
+            ("Monitoring", ["Plausibility"]),
+            ("SensorProcessing", ["AirMass", "SpeedFilter"]),
+            ("FuelAndIgnition", ["EnableLatch", "Ignition", "Injection"])):
+        path = f"{root}/{cluster}"
+        expected += [(path, "gated"), (f"{path}/{cluster}", "composite")]
+        expected += [(f"{path}/{cluster}/{leaf}", "atomic")
+                     for leaf in leaves]
+    assert flat.linear_steps() == expected
 
 
 # -- deep hierarchies (satellite: iterative compile, 5000 levels) --------------
@@ -347,9 +368,10 @@ def test_gating_predicate_is_a_flat_op_for_gated_composites():
 
     flat_direct = compile_flat(gated_mtd_system(every(2), direct=True))
     summary = "\n".join(flat_direct.ops_summary())
-    assert "gate" not in summary      # gated MTD stays one nested leaf
-    assert "[nested]" in summary
-    assert flat_direct.fallback_paths == ["Sys/Plant"]
+    assert "gate" in summary          # a gated MTD is a gate over a machine
+    assert "mode  Sys/Plant/Modes [2 modes, 2 transitions]" in summary
+    assert "[nested]" not in summary
+    assert flat_direct.fallback_paths == []
 
 
 # -- correction barriers and nested fallback -----------------------------------
@@ -367,7 +389,8 @@ def test_correction_barrier_preserved_in_flat_program():
 
 def test_late_produced_composite_falls_back_to_nested():
     """A non-feedthrough composite fed by a later-scheduled producer must
-    stay a nested leaf so the correction barrier can re-run it atomically."""
+    stay one run op of its own flat program, so the correction barrier
+    can re-run it atomically."""
     child = DataFlowDiagram("Child")
     child.add_input("u")
     child.add_output("y")
@@ -389,8 +412,12 @@ def test_late_produced_composite_falls_back_to_nested():
 
     flat = compile_flat(parent)
     assert flat.fallback_paths == ["Parent/Child"]
+    summary = "\n".join(flat.ops_summary())
+    assert "run  Parent/Child [nested] (correction-tracked)" in summary
     # the naming contract holds even for fallback subtrees
-    assert flat.linear_steps() == compile_nested(parent).linear_steps()
+    assert flat.linear_steps() == [
+        ("Parent", "composite"), ("Parent/Child", "composite"),
+        ("Parent/Child/Z", "atomic"), ("Parent/A", "atomic")]
     reference, _ = assert_engines_agree(parent, {"u": [1] * 5}, 5)
     assert reference.output("y").values() == [1, 2, 3, 4, 5]
 

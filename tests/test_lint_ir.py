@@ -12,8 +12,10 @@ import random
 import pytest
 
 from repro.analysis.lint import certify_batch, lint_flat_schedule, lint_model
-from repro.casestudy.door_lock import build_door_lock_faa
-from repro.casestudy.engine_control import build_engine_ccd
+from repro.casestudy.door_lock import (build_door_lock_control,
+                                      build_door_lock_faa)
+from repro.casestudy.engine_control import (build_engine_ccd,
+                                           build_engine_modes_mtd)
 from repro.casestudy.momentum import (build_closed_loop,
                                       build_momentum_controller)
 from repro.casestudy.reengineered import build_reengineered_fda
@@ -340,6 +342,19 @@ def _ir_noise(report):
 ], ids=lambda b: b.__name__)
 def test_no_false_positives_on_casestudy_models(build):
     report = lint_model(build())
+    assert not report.errors(), report.describe()
+    assert not _ir_noise(report), report.describe()
+
+
+@pytest.mark.parametrize("build", [
+    build_door_lock_control, build_engine_modes_mtd,
+], ids=lambda b: b.__name__)
+def test_casestudy_mtd_roots_verify_their_flat_ir(build):
+    """MTD roots compile to the flat IR, so the model lint verifies their
+    program too -- the ``lint-models`` CI job covers these machines."""
+    report = lint_model(build())
+    subjects = {finding.subject for finding in report.findings}
+    assert f"{build().name} [flat IR]" in subjects, report.describe()
     assert not report.errors(), report.describe()
     assert not _ir_noise(report), report.describe()
 

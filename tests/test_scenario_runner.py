@@ -332,12 +332,13 @@ def test_batch_backend_empty_battery_and_chunk_override():
     _assert_same_traces(serial, chunked)
 
 
-def test_batch_backend_rejects_unflattenable_root(engine_modes_mtd):
+def test_batch_backend_rejects_unflattenable_root(crank_sequencer_std):
     import pytest as _pytest
     _pytest.importorskip("numpy")
-    batch = _engine_batch(2, ticks=5)
+    batch = [Scenario(f"key{index}", {"key": [True] * 5}, 5)
+             for index in range(2)]
     with pytest.raises(SimulationError, match="not flattenable"):
-        run_sharded(engine_modes_mtd, batch, executor="serial",
+        run_sharded(crank_sequencer_std, batch, executor="serial",
                     backend="batch")
 
 
