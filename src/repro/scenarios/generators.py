@@ -126,15 +126,26 @@ class SeededGenerator(StimulusGenerator):
         """Draw the value of the next tick (fixed draw count per call)."""
         raise NotImplementedError
 
+    def _extend(self, ticks: int) -> List[Any]:
+        """The cache, drawn out to at least *ticks* ticks under ONE lock
+        acquisition; returns it."""
+        cache = self._cache
+        if len(cache) < ticks:
+            with self._lock:
+                draw, rng = self._draw, self._rng
+                cache.extend([draw(rng) for _ in range(ticks - len(cache))])
+        return cache
+
     def sample(self, tick: int) -> Any:
         if tick < 0:
             raise SimulationError("stimulus generators are defined for ticks >= 0")
         cache = self._cache
         if tick >= len(cache):
-            with self._lock:
-                while len(cache) <= tick:
-                    cache.append(self._draw(self._rng))
+            self._extend(tick + 1)
         return cache[tick]
+
+    def materialize(self, ticks: int) -> List[Any]:
+        return self._extend(ticks)[:max(0, ticks)]
 
     # transient RNG/cache state is rebuilt from the seed after unpickling,
     # so a shipped generator replays exactly the same history
@@ -375,6 +386,10 @@ class Dropout(SeededGenerator):
     def sample(self, tick: int) -> Any:
         dropped = super().sample(tick)
         return ABSENT if dropped else sample_spec(self.inner, tick)
+
+    def materialize(self, ticks: int) -> List[Any]:
+        return [ABSENT if dropped else sample_spec(self.inner, tick)
+                for tick, dropped in enumerate(super().materialize(ticks))]
 
 
 class OutOfRange(StimulusGenerator):

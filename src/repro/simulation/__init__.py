@@ -12,8 +12,8 @@
   the flat program over a ``(slot, scenario)`` NumPy plane, one sweep per
   scenario battery (requires NumPy; gated exports are ``None`` without it)
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
-  lowered to one compiled C step function driven through ctypes (requires
-  a platform C compiler; check :func:`native_available`)
+  lowered to one compiled C function driven through ctypes, one call per
+  scenario (requires a platform C compiler; check :func:`native_available`)
 * :mod:`repro.simulation.trace` -- recorded traces, trace tables, equivalence
 * :mod:`repro.simulation.causality` -- hierarchical instantaneous-loop check
 * :mod:`repro.simulation.multirate` -- stimulus generators and resampling

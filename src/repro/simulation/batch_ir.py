@@ -65,7 +65,7 @@ import numpy as np
 
 from ..core.expr_batch import compile_batch_expression, fired_on
 from ..core.types import check_value
-from ..core.values import ABSENT, Stream, is_absent
+from ..core.values import ABSENT, is_absent
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
 from .engine import StimulusSpec, prepare_feeds
@@ -566,21 +566,16 @@ class BatchSchedule:
                 outcomes.append(LaneOutcome(name, error=errors[index],
                                             exception=exceptions[index]))
                 continue
-            trace = SimulationTrace(component.name)
             ticks = requested[index]
-            trace.ticks = ticks
-            if ticks:
-                for port_name in input_names:
-                    trace.inputs[port_name] = Stream(
-                        in_rows[port_name][:ticks, index].tolist())
-                for port_name, _slot in output_spec:
-                    trace.outputs[port_name] = Stream(
-                        out_rows[port_name][:ticks, index].tolist())
-                if root_modes is not None:
-                    names = root_machine.names
-                    trace.mode_history = [
-                        names[mode]
-                        for mode in root_modes[:ticks, index].tolist()]
+            modes = ([root_machine.names[mode]
+                      for mode in root_modes[:ticks, index].tolist()]
+                     if root_modes is not None else ())
+            trace = SimulationTrace.from_columns(
+                component.name, ticks,
+                {port_name: in_rows[port_name][:ticks, index].tolist()
+                 for port_name in input_names},
+                {port_name: out_rows[port_name][:ticks, index].tolist()
+                 for port_name, _slot in output_spec}, modes)
             outcomes.append(LaneOutcome(
                 name, trace=trace,
                 mode_paths=histories[index] if histories is not None

@@ -300,9 +300,9 @@ class CompiledSimulator:
     aware callers (:class:`ScenarioSuite`,
     :func:`repro.scenarios.runner.run_sharded`) execute whole batteries as
     single sweeps via :attr:`batch_schedule`.  ``"native"`` compiles the
-    flat program to a C step function driven through ctypes
-    (:mod:`repro.simulation.native`, requires a flattenable root and a C
-    compiler); hosts without a compiler degrade to the flat interpreter
+    flat program to a C function driven through ctypes, one call per
+    scenario (:mod:`repro.simulation.native`, requires a flattenable root
+    and a C compiler); hosts without a compiler degrade to the flat interpreter
     with a warning.
     """
 
@@ -375,18 +375,28 @@ class CompiledSimulator:
                                                self.check_types)
         schedule = self.schedule
         if telemetry is None:
-            return run_stepped(self.component, schedule.step, stimuli,
-                               ticks, self.check_types,
-                               initial_state=schedule.initial_state(),
-                               mode_of=schedule.root_mode)
+            return self._drive(schedule.step, stimuli, ticks)
         step = telemetry.step_for(schedule) or schedule.step
         with telemetry.tracer.span("run", component=self.component.name,
                                    backend=self.backend, ticks=ticks,
                                    kind=schedule.kind):
-            return run_stepped(self.component, step, stimuli, ticks,
-                               self.check_types,
-                               initial_state=schedule.initial_state(),
-                               mode_of=schedule.root_mode)
+            return self._drive(step, stimuli, ticks)
+
+    def _drive(self, step: StepFunction,
+               stimuli: Optional[Mapping[str, StimulusSpec]],
+               ticks: int) -> SimulationTrace:
+        """Run *step* over the horizon: in one native call when *step* is
+        the native schedule's own step and no type checks interleave,
+        else tick by tick -- a substituted step (a wrapper, an observing
+        variant) is called exactly once per tick."""
+        schedule = self.schedule
+        if not self.check_types \
+                and step is getattr(schedule, "native_step", None):
+            return schedule.run_horizon(stimuli, ticks)
+        return run_stepped(self.component, step, stimuli, ticks,
+                           self.check_types,
+                           initial_state=schedule.initial_state(),
+                           mode_of=schedule.root_mode)
 
 
 def simulate_compiled(component: Component,

@@ -2,10 +2,11 @@
 
 The fifth execution engine of the reproduction: the flat op program
 (:mod:`repro.simulation.schedule_ir`) is lowered to one self-contained C
-step function (:mod:`.emit`), compiled once with the platform compiler
-and cached content-addressed on disk (:mod:`.toolchain`), and driven
-through :mod:`ctypes` behind the standard stepped contract
-(:mod:`.schedule`).  Select it with ``backend="native"`` on
+function over a whole horizon (:mod:`.emit`), compiled once with the
+platform compiler and cached content-addressed on disk (:mod:`.toolchain`),
+and driven through :mod:`ctypes` -- one call per scenario, with the
+standard stepped contract as its one-tick case (:mod:`.schedule`).
+Select it with ``backend="native"`` on
 :class:`~repro.simulation.compiled.CompiledSimulator` /
 :class:`~repro.simulation.compiled.ScenarioSuite`; hosts without a C
 compiler degrade gracefully to the flat interpreter.

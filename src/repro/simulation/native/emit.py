@@ -1,28 +1,38 @@
-"""Lowering a flat schedule's op program to one C step function.
+"""Lowering a flat schedule's op program to one C function over a horizon.
 
-The whole flat program becomes a single translation unit exporting
+The whole flat program becomes a single translation unit exporting one
+entry point
 
 .. code-block:: c
 
-    long long repro_step(const repro_frame *frame);
+    long long repro_run(repro_frame *frame, long long ticks);
 
-over a ``repro_frame`` of planes the driver fills in once: the same fixed
+which runs the op program for *ticks* consecutive ticks over a
+``repro_frame`` of planes the driver fills in per call: the same fixed
 slot plane the flat interpreter uses, encoded as three parallel arrays
 (tag / int64 payload / double payload; the
-:data:`~repro.ascet.c_expr.TAG_OBJ` payload indexes a per-tick Python
+:data:`~repro.ascet.c_expr.TAG_OBJ` payload indexes a per-call Python
 object table, so opaque values still *copy* natively), the
 previous/next delayed-buffer planes ``pb*``/``nb*`` (a lowered machine's
-current mode is an int64 entry there), the tick's boundary inputs
-``in_*`` (the outputs are gathered after the next buffers), ``gate[]`` with the gate predicates pre-evaluated for the tick
-(clock patterns depend on the tick only), and ``tramp``, the ctypes
-callback through which any op the emitter did not (or at run time cannot)
-lower exactly is replayed through the original Python closures.  The step
-clears the slot plane, scatters the inputs and carries the buffers over
-itself (``warm`` says the previous tick's next buffers are this tick's
-previous ones, so the driver need not store them), so one foreign call
-does the whole tick.  Eager expression templates are static helper
-functions ahead of the step (:meth:`~repro.ascet.c_expr.TaggedEmitter._helper`),
-which keeps the step body, and the C compiler's time, small.
+current mode is an int64 entry there), the input columns ``in_*`` (one
+row of input ports per tick), ``gate`` (one row of pre-evaluated gate
+predicates per tick: clock patterns depend on the tick only), the output
+plane ``out_*`` (one row of output ports per tick), ``modes`` (an MTD
+root's committed mode per tick) and ``tramp``, the ctypes callback
+through which any op the emitter did not (or at run time cannot) lower
+exactly is replayed through the original Python closures.
+
+**The horizon protocol**, per tick ``k``: store ``k`` in ``frame->tick``
+(the trampoline's Python frame reads it); on the first tick seed the next
+buffers from the previous ones the driver stored (or, with ``warm`` set,
+take the previous tick's next buffers -- every later tick does); clear
+the slot plane and scatter input row ``k``; run the op program; gather
+the outputs into output row ``k`` and the root mode into ``modes[k]``;
+advance the input, gate and output rows.  One foreign call thus runs a
+whole scenario, and the per-tick driver is the ``ticks == 1`` case.
+Eager expression templates are static helper functions ahead of the
+entry point (:meth:`~repro.ascet.c_expr.TaggedEmitter._helper`), which
+keeps its body, and the C compiler's time, small.
 
 Lowering decisions per op:
 
@@ -51,7 +61,7 @@ mode op writes slots and buffers only after everything evaluated cleanly,
 so a bail-out replays the whole op from unmodified inputs (a ``switch``
 then reads the mode the replay committed).  The return value is ``0`` on
 success or ``op_index + 1`` when the trampoline reported a pending Python
-exception.
+exception, with the failing tick left in ``frame->tick``.
 """
 
 from __future__ import annotations
@@ -72,33 +82,49 @@ _HEADER = """\
 typedef long long (*repro_tramp_fn)(long long);
 {tagged}
 
-/* the planes of one schedule, filled in once by the driver */
+/* the planes of one run, filled in by the driver; repro_run writes only
+   the running tick back into it */
 typedef struct {{
     unsigned char *tag; long long *iv; double *fv;
     unsigned char *pbt; long long *pbi; double *pbf;
     unsigned char *nbt; long long *nbi; double *nbf;
     const unsigned char *in_t; const long long *in_i; const double *in_f;
     const unsigned char *gate;
+    unsigned char *out_t; long long *out_i; double *out_f;
+    long long *modes;
     repro_tramp_fn tramp;
     long long warm;
+    long long tick;
 }} repro_frame;
 """
 
 _PROLOGUE = """\
-long long repro_step(const repro_frame *frame)
-{{
+long long repro_run(repro_frame *frame, long long ticks)
+{
     unsigned char *tag = frame->tag; long long *iv = frame->iv;
     double *fv = frame->fv;
     unsigned char *pbt = frame->pbt; long long *pbi = frame->pbi;
     double *pbf = frame->pbf;
     unsigned char *nbt = frame->nbt; long long *nbi = frame->nbi;
     double *nbf = frame->nbf;
+    const unsigned char *in_t = frame->in_t; const long long *in_i =
+        frame->in_i; const double *in_f = frame->in_f;
     const unsigned char *gate = frame->gate;
+    unsigned char *out_t = frame->out_t; long long *out_i = frame->out_i;
+    double *out_f = frame->out_f;
+    long long *modes = frame->modes;
     repro_tramp_fn tramp = frame->tramp;
+    long long warm = frame->warm;
+    long long k;
+    for (k = 0; k < ticks; ++k) {"""
+
+#: The head of one tick inside the loop (indented with the op program).
+_TICK = """\
+    frame->tick = k;
     /* warm: the previous tick's next buffers are this tick's previous
        ones; otherwise the driver stored them.  Either way, unwritten next
        buffers carry over. */
-    if (frame->warm) {{
+    if (warm) {{
         __builtin_memcpy(pbt, nbt, {n_buffers} * sizeof *pbt);
         __builtin_memcpy(pbi, nbi, {n_buffers} * sizeof *pbi);
         __builtin_memcpy(pbf, nbf, {n_buffers} * sizeof *pbf);
@@ -107,8 +133,8 @@ long long repro_step(const repro_frame *frame)
         __builtin_memcpy(nbi, pbi, {n_buffers} * sizeof *nbi);
         __builtin_memcpy(nbf, pbf, {n_buffers} * sizeof *nbf);
     }}
-    __builtin_memset(tag, 0, {n_slots});
-"""
+    warm = 1;
+    __builtin_memset(tag, 0, {n_slots});"""
 
 
 @dataclass
@@ -279,12 +305,11 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     # helper key -> (name, definition); an op's emitter adds its helpers
     # here only when the op lowers, so the unit defines only used ones
     helpers: Dict[Any, Tuple[str, str]] = {}
-    lines: List[str] = [_PROLOGUE.format(n_slots=flat.n_slots,
-                                         n_buffers=len(flat.buffer_specs))]
+    lines: List[str] = _TICK.format(
+        n_slots=flat.n_slots, n_buffers=len(flat.buffer_specs)).split("\n")
     for k, (_name, slot) in enumerate(flat.input_spec):
-        lines.append(f"    tag[{slot}] = frame->in_t[{k}]; "
-                     f"iv[{slot}] = frame->in_i[{k}]; "
-                     f"fv[{slot}] = frame->in_f[{k}];")
+        lines.append(f"    tag[{slot}] = in_t[{k}]; iv[{slot}] = in_i[{k}]; "
+                     f"fv[{slot}] = in_f[{k}];")
 
     for index, op in enumerate(program):
         code = op[0]
@@ -330,17 +355,24 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
             _tramp_call(index, lines)
 
     lines.append("Lend: ;")
-    # the outputs follow the next buffers, so the driver decodes both at once
-    for k, (_name, slot) in enumerate(flat.output_spec,
-                                      start=len(flat.buffer_specs)):
-        lines.append(f"    nbt[{k}] = tag[{slot}]; nbi[{k}] = iv[{slot}]; "
-                     f"nbf[{k}] = fv[{slot}];")
-    lines.append("    return 0;")
-    lines.append("}")
+    for k, (_name, slot) in enumerate(flat.output_spec):
+        lines.append(f"    out_t[{k}] = tag[{slot}]; out_i[{k}] = iv[{slot}]; "
+                     f"out_f[{k}] = fv[{slot}];")
+    if flat.root_mode is not None:
+        lines.append(f"    modes[k] = nbi[{flat.machines[0].buffer}];")
+    # advance the tick's rows: input columns, gate bits, output plane
+    for width, names in ((len(flat.input_spec), ("in_t", "in_i", "in_f")),
+                         (len(lowered.gate_indexes), ("gate",)),
+                         (len(flat.output_spec),
+                          ("out_t", "out_i", "out_f"))):
+        if width:
+            lines.append("    " + " ".join(f"{name} += {width};"
+                                           for name in names))
     lowered.source = "\n".join(
         [_HEADER.format(version=emitter_version, tagged=TAGGED_VALUE),
          *(definition for _name, definition in helpers.values()), "",
-         *lines]) + "\n"
+         _PROLOGUE, *(f"    {line}" for line in lines),
+         "    }", "    return 0;", "}"]) + "\n"
     return lowered
 
 

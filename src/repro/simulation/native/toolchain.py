@@ -34,7 +34,7 @@ from ...core.errors import SimulationError
 #: Bump whenever the C emitter's output semantics change: the version is
 #: part of every cache key and :func:`evict_stale` drops entries of older
 #: versions.
-EMITTER_VERSION = 2
+EMITTER_VERSION = 3
 
 #: Cache-entry filename prefix carrying the emitter version.
 _PREFIX = f"nv{EMITTER_VERSION}-"
@@ -42,9 +42,9 @@ _PREFIX = f"nv{EMITTER_VERSION}-"
 #: Upper bound on cached shared objects (oldest-first trim).
 MAX_CACHE_ENTRIES = 64
 
-#: The exported step function's name as it appears in an object's dynamic
+#: The exported entry point's name as it appears in an object's dynamic
 #: string table.
-_STEP_SYMBOL = b"\0repro_step\0"
+_STEP_SYMBOL = b"\0repro_run\0"
 
 #: Compilers probed (in order) when ``$CC`` is not set.
 _CANDIDATES = ("cc", "gcc", "clang")
@@ -195,7 +195,7 @@ def _remove_entry(so_path: str) -> List[str]:
 
 
 def _exports_step(so_path: str) -> bool:
-    """True when the object at *so_path* carries the ``repro_step`` symbol
+    """True when the object at *so_path* carries the ``repro_run`` symbol
     name in its dynamic string table.
 
     A byte scan, not a ``dlopen``: the dynamic loader deduplicates by path,
@@ -239,7 +239,7 @@ def _compile(compiler: str, source: str, directory: str, key: str,
                 f"{proc.stderr.strip() or proc.stdout.strip()}")
         if not _exports_step(so_tmp):
             raise NativeLoweringError(
-                f"C compilation produced an object without repro_step "
+                f"C compilation produced an object without repro_run "
                 f"({' '.join(command)})")
         os.replace(so_tmp, so_path)
         os.replace(c_tmp, so_path[:-3] + ".c")
@@ -259,7 +259,7 @@ def ensure_shared_object(source: str,
     Writes are atomic (compile from a private temp source to a temp
     object, ``os.replace`` both into place), so concurrent workers racing
     on the same key converge on one valid object.  A cached object that
-    lacks ``repro_step`` is evicted and rebuilt.  A cache miss triggers
+    lacks ``repro_run`` is evicted and rebuilt.  A cache miss triggers
     :func:`evict_stale`.
     """
     compiler = find_compiler()

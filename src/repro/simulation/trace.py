@@ -35,6 +35,27 @@ class SimulationTrace:
             self.outputs.setdefault(name, Stream()).append(value)
         self.ticks += 1
 
+    @classmethod
+    def from_columns(cls, component_name: str, ticks: int,
+                     inputs: Mapping[str, Sequence[Any]],
+                     outputs: Mapping[str, Sequence[Any]],
+                     mode_history: Sequence[Any] = ()) -> "SimulationTrace":
+        """The trace of a whole run given as per-port value columns.
+
+        Equal to recording the run tick by tick with :meth:`record_tick`
+        in the columns' port order: a run of zero ticks records no streams
+        at all.
+        """
+        trace = cls(component_name)
+        trace.ticks = ticks
+        if ticks:
+            trace.inputs = {name: Stream(column)
+                            for name, column in inputs.items()}
+            trace.outputs = {name: Stream(column)
+                             for name, column in outputs.items()}
+            trace.mode_history = list(mode_history)
+        return trace
+
     # -- access ----------------------------------------------------------------
     def output(self, name: str) -> Stream:
         try:

@@ -223,7 +223,7 @@ def reengineer_process(module: AscetModule, process: AscetProcess,
         behavior = ExpressionComponent(f"{implicit.name}_behavior",
                                        mode_expressions[implicit.name])
         for expression in mode_expressions[implicit.name].values():
-            for variable in expression.variables():
+            for variable in sorted(expression.variables()):
                 if variable in used_inputs and not behavior.has_port(variable):
                     behavior.add_input(variable)
         for output_name in mode_expressions[implicit.name]:

@@ -213,6 +213,20 @@ def _pinned_outcome(runner, stimuli, ticks):
         return None, (type(exc), str(exc), failing_tick)
 
 
+def _per_tick(simulator):
+    """*simulator*'s own step driven tick by tick through the shared
+    driver loop -- for the native backend, the 1-tick case of its C entry
+    point instead of the one-call horizon."""
+    schedule = simulator.schedule
+
+    def run(stimuli, ticks):
+        return run_stepped(simulator.component, schedule.step, stimuli,
+                           ticks, False,
+                           initial_state=schedule.initial_state(),
+                           mode_of=schedule.root_mode)
+    return run
+
+
 def _typed_streams(trace):
     return {port: [(type(v), v) for v in stream.values()]
             for port, stream in trace.outputs.items()}
@@ -228,9 +242,6 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
     flat = CompiledSimulator(model, backend="flat")
     outcomes = compile_batch(model).run_battery(battery)
     runners = [("flat", flat.run)]
-    if _HAS_NATIVE:
-        native = CompiledSimulator(model, backend="native")
-        runners.append(("native", native.run))
     # the swapped-in step variants: byte-identical traces, identical
     # exception type, message and tick as the default flat step
     batch = CompiledSimulator(model, backend="batch")
@@ -240,6 +251,13 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
          _in_session(flat.run, flight_recording=True)),
         ("batch+profile_ops", _in_session(batch.run, profile_ops=True)),
     ]
+    if _HAS_NATIVE:
+        # the one-call horizon and the per-tick step of the same schedule
+        native = CompiledSimulator(model, backend="native")
+        native_paths = [("native", native.run),
+                        ("native per-tick", _per_tick(native))]
+        runners += native_paths
+        variants += native_paths
     with obs.session(profile_ops=True):
         profiled_outcomes = compile_batch(model).run_battery(battery)
 
@@ -713,6 +731,10 @@ def test_backends_agree_on_random_roots(seed):
         if expected[1] is None:
             _trace, histories = _interpreter_histories(model, stimuli, ticks)
         results = [("batch sweep", outcome)]
+        if _HAS_NATIVE:
+            assert _pinned_outcome(_per_tick(simulators["native"]), stimuli,
+                                   ticks) == expected, \
+                (seed, name, "native per-tick")
         for backend, simulator in simulators.items():
             assert _pinned_outcome(simulator.run, stimuli, ticks) \
                 == expected, (seed, name, backend)

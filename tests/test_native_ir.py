@@ -9,24 +9,32 @@ pieces (cache keys, eviction, the ir_verify refusal gate, backend
 validation) run everywhere.
 """
 
+import enum
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.casestudy import (acceleration_scenario, build_closed_loop,
                              build_door_lock_control, build_engine_ccd,
-                             build_reengineered_fda, crash_scenario,
-                             driving_scenario)
+                             build_engine_modes_mtd, build_reengineered_fda,
+                             crash_scenario, driving_scenario)
 from repro.core.clocks import every
 from repro.core.components import ExpressionComponent
-from repro.core.errors import SimulationError
+from repro.core.errors import ExpressionEvalError, SimulationError
 from repro.core.values import ABSENT, Stream
 from repro.io.json_io import trace_to_json
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
+from repro.notations.std import StateTransitionDiagram
+from repro.scenarios import RandomWalk
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              NativeLoweringError, build_gated_ccd,
-                              compile_flat, compile_native, native_available)
+                              NativeLoweringError, Simulator,
+                              build_gated_ccd, compile_flat, compile_native,
+                              native_available)
+from repro.simulation.engine import run_stepped
 from repro.simulation.native import (EMITTER_VERSION, cache_key, evict_stale,
                                      lower_program, reset_toolchain_cache)
 from repro.simulation.schedule_ir import OP_GATE
@@ -289,7 +297,7 @@ def test_concurrent_truncation_of_the_shared_source_cannot_poison_the_cache(
         tmp_path, monkeypatch):
     """A second cold build on the same key truncates ``<key>.c`` while the
     first compiler runs.  The object that lands in the cache must still
-    export ``repro_step``, and the schedule built from it must run."""
+    export ``repro_run``, and the schedule built from it must run."""
     import subprocess
 
     from repro.simulation.native import toolchain
@@ -332,7 +340,7 @@ def test_cached_object_without_step_symbol_is_rebuilt(tmp_path):
     path, hit = ensure_shared_object(source, str(directory))
     assert path == str(poisoned)
     assert not hit
-    assert b"repro_step" in poisoned.read_bytes()
+    assert b"repro_run" in poisoned.read_bytes()
     assert ensure_shared_object(source, str(directory)) == (path, True)
 
 
@@ -351,6 +359,23 @@ def test_native_cli_info_runs():
     from repro.simulation.native.__main__ import main
     assert main(["--info"]) == 0
     assert main(["--evict"]) == 0
+
+
+@requires_cc
+def test_native_cli_evict_drops_objects_of_older_emitters():
+    """Objects built by the previous emitter (``nv2-``, exporting the old
+    per-tick entry point) go; the current version's object stays."""
+    from repro.simulation.native.__main__ import main
+    native = compile_native(_expression_heavy_model())
+    directory = os.path.dirname(native.so_path)
+    old = os.path.join(directory, "nv2-" + "0" * 40)
+    for suffix in (".so", ".c"):
+        with open(old + suffix, "w", encoding="utf-8") as handle:
+            handle.write("/* repro_step */")
+    assert main(["--evict"]) == 0
+    assert not os.path.exists(old + ".so")
+    assert not os.path.exists(old + ".c")
+    assert os.path.exists(native.so_path)
 
 
 # -- fallback coverage ---------------------------------------------------------
@@ -409,3 +434,204 @@ def test_fda_machines_run_natively_without_trampolines():
     assert native_result.mode_paths == flat_result.mode_paths
     assert len(set(native_result.mode_paths[
         "GasolineEngineControl_FDA/FuelInjection"])) == 2
+
+
+# -- the whole-horizon run -----------------------------------------------------
+
+
+def _per_tick(simulator):
+    """*simulator*'s native step driven tick by tick (the 1-tick case of
+    the C entry point) through the shared driver loop."""
+    schedule = simulator.schedule
+
+    def run(stimuli, ticks):
+        return run_stepped(simulator.component, schedule.step, stimuli,
+                           ticks, False,
+                           initial_state=schedule.initial_state(),
+                           mode_of=schedule.root_mode)
+    return run
+
+
+def _pinned(runner, stimuli, ticks):
+    """``(trace_to_json text, None)`` on success, ``(None, (exception type,
+    message, failing tick))`` on failure; the failing tick is the shortest
+    horizon that raises."""
+    try:
+        return trace_to_json(runner(stimuli, ticks)), None
+    except Exception as exc:  # noqa: BLE001 - the comparison IS the test
+        failing_tick = 0
+        while failing_tick < ticks:
+            try:
+                runner(stimuli, failing_tick + 1)
+            except Exception:  # noqa: BLE001
+                break
+            failing_tick += 1
+        return None, (type(exc), str(exc), failing_tick)
+
+
+def _std_counter():
+    """A DFD around an STD whose guard divides by its input: the STD runs
+    on the trampoline and fails with a division by zero where ``x == 0``
+    in its ``Low`` state."""
+    std = StateTransitionDiagram("Counter")
+    std.add_input("x")
+    std.add_output("out")
+    std.add_variable("n", 0)
+    std.add_state("Low", initial=True, emissions={"out": "n"})
+    std.add_state("High", emissions={"out": "n * 10"})
+    std.add_transition("Low", "High", "10 / x > 2", actions={"n": "n + 1"})
+    std.add_transition("High", "Low", "x > 4")
+    return _wrapped(std)
+
+
+class _Gear(enum.IntEnum):
+    PARK = 0
+    DRIVE = 1
+
+
+def _object_passthrough():
+    """Strings and enum members through a copy and a unit delay: values
+    that ride the object table across ticks."""
+    dfd = DataFlowDiagram("ObjectPass")
+    dfd.add_input("s")
+    dfd.add_output("now")
+    dfd.add_output("before")
+    dfd.add_subcomponent(UnitDelay("Z", initial="none"))
+    dfd.connect("s", "now")
+    dfd.connect("s", "Z.in1")
+    dfd.connect("Z.out", "before")
+    return dfd
+
+
+def _raising_at(tick, values):
+    """A callable stimulus: *values* by tick, raising at *tick*."""
+    def stimulus(now):
+        if now == tick:
+            raise ValueError(f"stimulus failed at tick {now}")
+        return values[now] if now < len(values) else ABSENT
+    return stimulus
+
+
+_HORIZON_CASES = [
+    # gated program with the UnitDelay on the trampoline
+    ("gated", _expression_heavy_model,
+     {"x": Stream([1, 2, 3, 1000, ABSENT, -5, 2 ** 70, 0.5]),
+      "y": Stream([4, 0, ABSENT, 2, 7, -1, 3, 2.5])}, 8),
+    # division by zero in E2 at tick 2, after two trampolined delay ticks
+    ("gated_error_mid_horizon", _expression_heavy_model,
+     {"x": Stream([5, 5, 5, 5]), "y": Stream([1, 2, -3, 1])}, 4),
+    ("std_leaf", _std_counter, {"x": Stream([1, 9, 2, 5, 3, 1, 8])}, 7),
+    ("std_error_mid_horizon", _std_counter,
+     {"x": Stream([1, 9, 2, 5, 0, 1])}, 6),
+    # the draw raises at tick 3: ticks 0..2 run first
+    ("draw_error", _std_counter,
+     {"x": _raising_at(3, [1, 9, 2, 5, 3])}, 5),
+    # a step error at tick 1 beats the later draw error at tick 3
+    ("step_error_before_draw_error", _std_counter,
+     {"x": _raising_at(3, [9, 0, 2, 5, 3])}, 5),
+    ("draw_error_at_tick_0", _std_counter, {"x": _raising_at(0, [])}, 3),
+    ("objects", _object_passthrough,
+     {"s": Stream(["on", _Gear.DRIVE, ABSENT, "off", _Gear.PARK, 7, True])},
+     7),
+    ("zero_ticks", _expression_heavy_model, {"x": Stream([1])}, 0),
+    ("mtd_root", build_engine_modes_mtd,
+     {"n": [0.0, 60.0, 800.0, 800.0, 1600.0, 3500.0, 800.0, 0.0, 40.0],
+      "ped": [0.0, 0.0, 3.0, 50.0, 90.0, 90.0, 0.0, 0.0, 6.0],
+      "t_eng": RandomWalk(5, start=40.0, step=2.0)}, 9),
+    ("mtd_root_enum_inputs", build_door_lock_control,
+     _filtered(crash_scenario(8), build_door_lock_control()), 8),
+]
+
+
+@requires_cc
+@pytest.mark.parametrize("name,build,stimuli,ticks", _HORIZON_CASES,
+                         ids=[case[0] for case in _HORIZON_CASES])
+def test_native_horizon_matches_per_tick_flat_and_interpreter(
+        name, build, stimuli, ticks):
+    """One C call per scenario: trace bytes (``mode_history`` included)
+    and exception type, message and tick equal the per-tick native step,
+    the flat backend and the interpreter."""
+    model = build()
+    native = CompiledSimulator(model, backend="native")
+    assert native.schedule.kind == "native"
+    expected = _pinned(Simulator(model).run, stimuli, ticks)
+    runners = {"horizon": native.run, "per-tick": _per_tick(native),
+               "flat": CompiledSimulator(model, backend="flat").run}
+    for label, runner in runners.items():
+        assert _pinned(runner, stimuli, ticks) == expected, (name, label)
+
+
+@requires_cc
+def test_native_horizon_runs_are_independent_of_earlier_runs():
+    """Object-table entries, delayed buffers and leaf states never leak
+    from one run (or step) into the next."""
+    model = _object_passthrough()
+    native = CompiledSimulator(model, backend="native")
+    first = {"s": Stream(["a", _Gear.DRIVE, "b"])}
+    second = {"s": Stream([_Gear.PARK, "c"])}
+    expected = trace_to_json(Simulator(model).run(second, 2))
+    native.run(first, 3)
+    _per_tick(native)(first, 2)
+    trace = native.run(second, 2)
+    assert trace_to_json(trace) == expected
+    # the very objects come back, enum members included
+    assert trace.output("now").values()[0] is _Gear.PARK
+    assert trace.output("before").values()[1] is _Gear.PARK
+    counter = _std_counter()
+    simulator = CompiledSimulator(counter, backend="native")
+    stimuli = {"x": Stream([1, 9, 2, 5])}
+    expected = trace_to_json(Simulator(counter).run(stimuli, 4))
+    with pytest.raises(ExpressionEvalError, match="division by zero"):
+        simulator.run({"x": Stream([9, 0])}, 2)
+    assert trace_to_json(simulator.run(stimuli, 4)) == expected
+
+
+@requires_cc
+def test_substituted_native_step_runs_once_per_tick():
+    """A wrapper installed as ``schedule.step`` (the campaign ledger's
+    contract) is called exactly once per tick, in tick order, and the
+    trace equals the one-call horizon's; so is the step under
+    ``check_types``."""
+    model = _expression_heavy_model()
+    native = CompiledSimulator(model, backend="native")
+    stimuli = {"x": Stream([1, 2, 3, 4, 5]), "y": Stream([5, 4, 3, 2, 1])}
+    horizon = trace_to_json(native.run(stimuli, 5))
+    schedule = native.schedule
+    own, calls = schedule.step, []
+
+    def wrapped(inputs, state, tick):
+        calls.append(tick)
+        return own(inputs, state, tick)
+
+    schedule.step = wrapped
+    assert trace_to_json(native.run(stimuli, 5)) == horizon
+    assert calls == [0, 1, 2, 3, 4]
+    del schedule.step
+    schedule.step = own
+    checked = CompiledSimulator(model, backend="native", check_types=True)
+    calls.clear()
+    own = checked.schedule.step
+    checked.schedule.step = wrapped
+    assert trace_to_json(checked.run(stimuli, 5)) == horizon
+    assert calls == [0, 1, 2, 3, 4]
+
+
+def test_fda_lowering_is_independent_of_the_hash_seed():
+    """The FDA's generated C is a function of the model only: behaviour
+    ports are declared in sorted order, not in set-iteration order."""
+    script = ("from repro.casestudy import build_reengineered_fda\n"
+              "from repro.simulation import compile_flat\n"
+              "from repro.simulation.native import EMITTER_VERSION, "
+              "lower_program\n"
+              "print(lower_program(compile_flat(build_reengineered_fda()), "
+              "EMITTER_VERSION).source)\n")
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    sources = []
+    for seed in ("1", "2"):
+        environment = dict(os.environ, PYTHONHASHSEED=seed,
+                           PYTHONPATH=source_root)
+        sources.append(subprocess.run(
+            [sys.executable, "-c", script], env=environment, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert sources[0] == sources[1]
+    assert "repro_run" in sources[0]

@@ -92,6 +92,43 @@ def test_seeded_generators_survive_pickling():
     assert clone.materialize(30) == walk.materialize(30)
 
 
+def _seeded_generators():
+    return [UniformNoise(seed=7, low=-1.0, high=1.0),
+            RandomWalk(seed=7, start=0.0, step=2.0, low=-1.0, high=3.0),
+            EventStorm(seed=7, rate=0.5, values=(1, 2, 3)),
+            Dropout(RandomWalk(seed=3, step=1.0), seed=7, probability=0.5)]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_bulk_materialize_equals_per_tick_samples(index):
+    """The bulk draw replays exactly the per-tick draws: fresh, after a
+    pickle round trip, and on a partly drawn cache."""
+    fresh, sampled = _seeded_generators()[index], \
+        _seeded_generators()[index]
+    expected = [sampled.sample(tick) for tick in range(30)]
+    assert fresh.materialize(30) == expected
+    shipped = pickle.loads(pickle.dumps(fresh))
+    assert shipped.materialize(30) == expected
+    partly = _seeded_generators()[index]
+    partly.sample(7)
+    assert partly.materialize(30) == expected
+    assert partly.materialize(5) == expected[:5]
+    assert partly.materialize(0) == []
+
+
+def test_seeded_generators_pin_their_values():
+    """Literal histories for one seed: the draw sequence never changes."""
+    noise, walk, storm, dropout = _seeded_generators()
+    assert noise.materialize(3) == [-0.35233447033367526,
+                                    -0.6983016521509962, 0.3018689460797075]
+    assert walk.materialize(4) == [-0.7046689406673505, -1.0,
+                                   -0.396262107840585, -1.0]
+    assert storm.materialize(6) == [1, 1, 3, 3, 3, 1]
+    assert [None if is_absent(value) else value
+            for value in dropout.materialize(6)] == [
+        None, None, -0.695701962128155, None, -0.23642127671965807, None]
+
+
 def test_random_walk_respects_bounds():
     walk = RandomWalk(seed=1, start=5.0, step=50.0, low=0.0, high=10.0)
     assert all(0.0 <= value <= 10.0 for value in walk.materialize(100))
