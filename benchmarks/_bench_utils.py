@@ -11,7 +11,9 @@ is tracked across PRs instead of living only in log output.
 
 import json
 import os
+import platform
 import statistics
+import subprocess
 import time
 
 
@@ -31,6 +33,21 @@ def time_best(runner, repeats: int = 3) -> float:
     return best
 
 
+def time_best_interleaved(runners: dict, rounds: int = 7) -> dict:
+    """Best-of-*rounds* wall clock per runner of *runners* (name ->
+    callable), timed in interleaved rounds: each round runs every runner
+    once, in order.  For gates comparing two paths of one engine by a
+    small margin: a burst of load on a shared host then slows both sides
+    of the comparison instead of one."""
+    best = {name: float("inf") for name in runners}
+    for _ in range(rounds):
+        for name, runner in runners.items():
+            start = time.perf_counter()
+            runner()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
 def time_median(runner, repeats: int = 5) -> float:
     """Median-of-*repeats* wall-clock of ``runner()``.
 
@@ -46,6 +63,54 @@ def time_median(runner, repeats: int = 5) -> float:
     return statistics.median(durations)
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _git_sha():
+    """HEAD of the checkout holding this file, or None outside git."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)), timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
+def host_fingerprint() -> dict:
+    """The host a measurement came from: CPU model and count, Python,
+    NumPy, C compiler banner (the native backend's toolchain) and the git
+    sha of the measured tree.  Figures are only comparable between runs
+    with equal fingerprints."""
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    from repro.simulation.native.toolchain import (compiler_banner,
+                                                   find_compiler)
+    compiler = find_compiler()
+    return {
+        "cpu_model": _cpu_model(),
+        "cpu_count": os.cpu_count(),
+        "python": f"{platform.python_implementation()} "
+                  f"{platform.python_version()}",
+        "numpy": numpy_version,
+        "compiler": compiler_banner(compiler) if compiler else None,
+        "git_sha": _git_sha(),
+    }
+
+
 def write_bench_json(name: str, payload: dict, telemetry=None) -> str:
     """Write ``BENCH_<name>.json``, the machine-readable benchmark artefact.
 
@@ -57,10 +122,11 @@ def write_bench_json(name: str, payload: dict, telemetry=None) -> str:
     them.  With ``BENCH_HISTORY`` set, the payload's gated metrics are also
     appended to that :class:`repro.obs.regress.BenchHistory` file, so local
     benchmark runs build the same regression series CI tracks.  Returns the
-    written path.
+    written path.  Every file embeds the :func:`host_fingerprint` under
+    ``"host"``.
     """
+    payload = dict(payload, host=host_fingerprint())
     if telemetry is not None:
-        payload = dict(payload)
         payload["observability"] = {
             "metrics": telemetry.registry.to_json_dict(),
             "spans": telemetry.tracer.to_json_dict(),

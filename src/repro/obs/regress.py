@@ -14,8 +14,9 @@ series, and ``--check`` exits non-zero on regression.  Wired as the CI
         --bench-dir bench-artifacts --history bench-artifacts/BENCH_history.json
 
 **Which metrics gate.**  Bench payloads are flattened to dotted numeric
-keys (the embedded ``observability`` telemetry is skipped); a key gates
-when it contains ``median`` (the cross-run statistic the harness records
+keys (the embedded ``observability`` telemetry and the ``host``
+fingerprint are skipped); a key gates when it contains ``median`` (the
+cross-run statistic the harness records
 precisely for this purpose, see ``time_median``) AND its improvement
 direction is inferable from its name -- ``*seconds*``/``*duration*`` are
 lower-is-better, ``*per_second*``/``*speedup*`` higher-is-better.
@@ -49,8 +50,9 @@ GATE_TOKEN = "median"
 LOWER_TOKENS = ("seconds", "duration", "time_s", "overhead", "latency")
 HIGHER_TOKENS = ("per_second", "per_sec", "speedup", "rate", "throughput")
 
-#: Payload keys never flattened into metrics (embedded telemetry).
-SKIP_KEYS = ("observability",)
+#: Payload keys never flattened into metrics (embedded telemetry and the
+#: host fingerprint).
+SKIP_KEYS = ("observability", "host")
 
 
 def metric_direction(key: str) -> Optional[str]:

@@ -21,6 +21,7 @@ plus JSON export (via :mod:`repro.io` for the embedded traces).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -28,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..analysis.mode_analysis import MachineInfo, machine_inventory
 from ..core.components import Component, CompositeComponent
 from ..core.errors import SimulationError
-from ..core.values import is_absent
+from ..core.values import ABSENT, is_absent
 from ..io.json_io import trace_to_json_dict
 from ..notations.mtd import ModeTransitionDiagram
 from ..notations.std import StateTransitionDiagram
@@ -170,6 +171,12 @@ class ModeCoverage:
         }
 
 
+#: The exact types :class:`PortStats` counts as numeric without an
+#: ``isinstance`` test per value (``bool`` is an ``int`` subclass, but not
+#: numeric there).
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 @dataclass
 class PortStats:
     """Presence and value-range statistics of one port across a batch.
@@ -208,6 +215,43 @@ class PortStats:
                 else max(self.maximum, value)
         else:
             self._sample(value)
+
+    def observe_column(self, values: Sequence[Any]) -> None:
+        """Fold a whole column of values: the same statistics as
+        :meth:`observe` on each value in order.
+
+        One pass filters presence; the running bounds seed builtin
+        ``min``/``max`` over the numeric values, which keep the first of
+        equal values and order NaN exactly as the sequential fold does;
+        non-numeric values go through the sample in order (a value that
+        is the very object sampled just before cannot change it).
+        """
+        self.total_ticks += len(values)
+        present = [value for value in values if value is not ABSENT]
+        if not present:
+            return
+        self.present_ticks += len(present)
+        if set(map(type, present)) <= _PLAIN_NUMBERS:
+            numbers, others = present, []
+        else:
+            numbers, others = [], []
+            for value in present:
+                if isinstance(value, (int, float)) \
+                        and not isinstance(value, bool):
+                    numbers.append(value)
+                else:
+                    others.append(value)
+        if numbers:
+            low, high = self.minimum, self.maximum
+            self.minimum = min(numbers) if low is None \
+                else min(itertools.chain((low,), numbers))
+            self.maximum = max(numbers) if high is None \
+                else max(itertools.chain((high,), numbers))
+        previous: Any = ABSENT
+        for value in others:
+            if value is not previous:
+                self._sample(value)
+                previous = value
 
     def merge(self, other: "PortStats") -> None:
         """Fold another batch's statistics of the same port into this one."""
@@ -300,14 +344,11 @@ class BatchReport:
         if trace is not None:
             self.scenario_ticks[result.name] = trace.ticks
             self.total_ticks += trace.ticks
-            for name, stream in trace.outputs.items():
-                stats = self.output_stats.setdefault(name, PortStats(name))
-                for value in stream:
-                    stats.observe(value)
-            for name, stream in trace.inputs.items():
-                stats = self.input_stats.setdefault(name, PortStats(name))
-                for value in stream:
-                    stats.observe(value)
+            for streams, pool in ((trace.outputs, self.output_stats),
+                                  (trace.inputs, self.input_stats)):
+                for name, stream in streams.items():
+                    pool.setdefault(name, PortStats(name)).observe_column(
+                        stream)
         mode_paths = getattr(result, "mode_paths", None)
         root_machine = self.coverage.get(self.component_name)
         if mode_paths:

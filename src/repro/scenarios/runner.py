@@ -46,6 +46,7 @@ from ..obs.events import CampaignEvent, EventLog
 from ..obs.metrics import MetricsRegistry
 from ..simulation.compiled import CompiledSimulator
 from ..simulation.engine import run_stepped
+from ..simulation.schedule_ir import FlatSchedule
 from ..simulation.trace import SimulationTrace
 from .generators import Scenario
 from .report import active_mode_paths
@@ -189,12 +190,19 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
                      events: Optional[EventLog] = None) -> ScenarioResult:
     """Run one scenario against a compiled simulator with error isolation.
 
-    Mode collection is schedule-aware: flat schedules expose their active
-    machines positionally via
-    :meth:`~repro.simulation.schedule_ir.FlatSchedule.mode_paths` (same
-    paths and values as :func:`~repro.scenarios.report.active_mode_paths`
-    on a nested state tree), so sharded batches and coverage-guided search
-    get the flat engine's speed without losing coverage observability.
+    With *collect_modes* the result carries the active mode of every
+    machine per tick (``mode_paths``, keyed by hierarchical path as in
+    :func:`~repro.scenarios.report.active_mode_paths`).  A flat schedule
+    driving its own step without type checks collects them inside its
+    whole-horizon run
+    (:meth:`~repro.simulation.schedule_ir.FlatSchedule.run_horizon` with
+    ``histories``; the condition is
+    :meth:`~repro.simulation.compiled.CompiledSimulator.runs_horizon`).
+    Every other case -- a substituted or telemetry step, ``check_types``,
+    the native backend (whose C code records only the root's mode) and
+    leaf roots -- observes the state after each tick instead
+    (``observing_step``: the schedule's ``mode_paths``, or the nested
+    state walk), with identical histories.
 
     *registry* receives ``runner.scenario.*`` telemetry and *events* the
     ``scenario_finished`` / ``scenario_error`` campaign events; when
@@ -215,23 +223,29 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
             telemetry = _obs_active()
             step = (telemetry.step_for(schedule)
                     if telemetry is not None else None) or schedule.step
-            extract_modes = getattr(schedule, "mode_paths", None)
-            if extract_modes is None:
-                extract_modes = lambda state: active_mode_paths(component,
-                                                                state)
             histories: Dict[str, List[Any]] = {}
+            if type(schedule) is FlatSchedule \
+                    and simulator.runs_horizon(step):
+                trace = schedule.run_horizon(scenario.stimuli,
+                                             scenario.ticks, histories)
+            else:
+                extract_modes = getattr(schedule, "mode_paths", None)
+                if extract_modes is None:
+                    extract_modes = lambda state: active_mode_paths(
+                        component, state)
 
-            def observing_step(inputs: Mapping[str, Any], state: Any,
-                               tick: int) -> Tuple[Dict[str, Any], Any]:
-                outputs, new_state = step(inputs, state, tick)
-                for path, mode in extract_modes(new_state).items():
-                    histories.setdefault(path, []).append(mode)
-                return outputs, new_state
+                def observing_step(inputs: Mapping[str, Any], state: Any,
+                                   tick: int) -> Tuple[Dict[str, Any], Any]:
+                    outputs, new_state = step(inputs, state, tick)
+                    for path, mode in extract_modes(new_state).items():
+                        histories.setdefault(path, []).append(mode)
+                    return outputs, new_state
 
-            trace = run_stepped(component, observing_step, scenario.stimuli,
-                                scenario.ticks, simulator.check_types,
-                                initial_state=schedule.initial_state(),
-                                mode_of=schedule.root_mode)
+                trace = run_stepped(component, observing_step,
+                                    scenario.stimuli, scenario.ticks,
+                                    simulator.check_types,
+                                    initial_state=schedule.initial_state(),
+                                    mode_of=schedule.root_mode)
             mode_paths: Optional[Dict[str, List[Any]]] = histories
         else:
             trace = simulator.run(scenario.stimuli, scenario.ticks)

@@ -356,6 +356,16 @@ class CompiledSimulator:
             ticks: int = 10) -> SimulationTrace:
         """Simulate for *ticks* ticks and return the recorded trace.
 
+        A flat or native schedule driving its own step without type checks
+        runs the whole horizon at once (:meth:`runs_horizon`): the flat
+        schedule draws the stimuli once, loops its kernels over the ticks
+        and builds the trace from columns; the native one makes one
+        foreign call.  Any other step -- a wrapper installed as
+        ``schedule.step``, a swapped-in telemetry variant -- and every
+        ``check_types`` run go tick by tick through
+        :func:`~repro.simulation.engine.run_stepped`, calling the step
+        exactly once per tick.  Traces and errors are identical either way.
+
         With observability enabled (:mod:`repro.obs`) the run is wrapped in
         a tracing span, and -- when the session asked for ``profile_ops``
         or ``flight_recording`` and the schedule is a flat program --
@@ -382,16 +392,23 @@ class CompiledSimulator:
                                    kind=schedule.kind):
             return self._drive(step, stimuli, ticks)
 
+    def runs_horizon(self, step: StepFunction) -> bool:
+        """True when driving *step* means the schedule's whole-horizon run
+        (``run_horizon``): *step* is the flat or native schedule's own step
+        and no type checks interleave.  A substituted step -- a wrapper,
+        an observing or swapped-in telemetry variant -- and every
+        ``check_types`` run go tick by tick instead."""
+        return not self.check_types \
+            and step is getattr(self.schedule, "own_step", None)
+
     def _drive(self, step: StepFunction,
                stimuli: Optional[Mapping[str, StimulusSpec]],
                ticks: int) -> SimulationTrace:
-        """Run *step* over the horizon: in one native call when *step* is
-        the native schedule's own step and no type checks interleave,
-        else tick by tick -- a substituted step (a wrapper, an observing
-        variant) is called exactly once per tick."""
+        """Run *step* over the horizon: in one whole-horizon run when
+        :meth:`runs_horizon` says so, else tick by tick -- a substituted
+        step is called exactly once per tick."""
         schedule = self.schedule
-        if not self.check_types \
-                and step is getattr(schedule, "native_step", None):
+        if self.runs_horizon(step):
             return schedule.run_horizon(stimuli, ticks)
         return run_stepped(self.component, step, stimuli, ticks,
                            self.check_types,

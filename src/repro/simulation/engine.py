@@ -22,7 +22,8 @@ cluster of rate ``every(n, true)`` only exchanges messages every *n*-th tick.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Union)
 
 from ..core.clocks import Clock
 from ..core.components import Component, register_transparent_wrapper
@@ -89,6 +90,33 @@ def prepare_feeds(component: Component,
     generators = {name: normalize_stimulus(spec, ticks)
                   for name, spec in stimuli.items()}
     return tuple((name, generators.get(name)) for name in input_names)
+
+
+def _absent(tick: int) -> Any:
+    """The feed of an input port without stimulus."""
+    return ABSENT
+
+
+def draw_stimuli(
+        feeds: "tuple[tuple[str, Optional[Callable[[int], Any]]], ...]",
+        ticks: int) -> "tuple[List[Any], int, Optional[Exception]]":
+    """Draw *feeds* (from :func:`prepare_feeds`) over a whole horizon.
+
+    The values are drawn tick-major and port-inner -- the draw order of
+    :func:`run_stepped` -- into one flat list: port ``i`` at tick ``t`` is
+    entry ``t * len(feeds) + i``.  Returns ``(values, horizon, failure)``:
+    when a draw raises at tick *k*, drawing stops there with ``horizon ==
+    k`` and the exception as *failure*; the whole-horizon drivers hold it
+    until ticks ``0 .. k-1`` have run, so an earlier step error still wins.
+    """
+    draws = [generator or _absent for _name, generator in feeds]
+    drawn: List[Any] = []
+    for tick in range(ticks):
+        try:
+            drawn += [draw(tick) for draw in draws]
+        except Exception as exc:  # noqa: BLE001 - held: see docstring
+            return drawn, tick, exc
+    return drawn, ticks, None
 
 
 def run_stepped(component: Component,

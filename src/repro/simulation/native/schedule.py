@@ -72,7 +72,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ...core.values import ABSENT
 from ...obs.context import active as _obs_active
 from ...obs.context import maybe_span
-from ..engine import StimulusSpec, prepare_feeds
+from ..engine import StimulusSpec, draw_stimuli, prepare_feeds
 from ..schedule_ir import FlatSchedule, FlatState, Frame
 from ..trace import SimulationTrace
 from .emit import LoweredProgram, lower_program
@@ -89,11 +89,6 @@ _PLANE_TYPES = (ctypes.c_ubyte, ctypes.c_longlong, ctypes.c_double)
 
 _BYTES = ctypes.POINTER(ctypes.c_ubyte)
 _INT64S = ctypes.POINTER(ctypes.c_longlong)
-
-
-def _absent(tick: int) -> Any:
-    """The feed of an input port without stimulus."""
-    return ABSENT
 
 
 class _Planes(ctypes.Structure):
@@ -268,7 +263,7 @@ class NativeSchedule:
         self.step = self._make_step()
         #: the step :meth:`run_horizon` stands for: a caller driving
         #: another step (a wrapper, an observing variant) runs per tick
-        self.native_step = self.step
+        self.own_step = self.step
 
     def _planes(self) -> _Planes:
         """A frame over the shared slot and buffer planes."""
@@ -382,17 +377,8 @@ class NativeSchedule:
         component = self.component
         feeds = prepare_feeds(component, stimuli, ticks)
         input_names = [name for name, _generator in feeds]
-        draws = [generator or _absent for _name, generator in feeds]
-        n_in = len(draws)
-        drawn: List[Any] = []
-        failure: Optional[Exception] = None
-        horizon = ticks
-        for tick in range(ticks):
-            try:
-                drawn += [draw(tick) for draw in draws]
-            except Exception as exc:  # noqa: BLE001 - held: see docstring
-                failure, horizon = exc, tick
-                break
+        n_in = len(feeds)
+        drawn, horizon, failure = draw_stimuli(feeds, ticks)
 
         objtable = self._objtable
         del objtable[len(self.lowered.constants):]

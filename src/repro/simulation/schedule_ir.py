@@ -101,7 +101,9 @@ from ..core.values import ABSENT
 from ..notations.mtd import ModeTransitionDiagram
 from ..obs.context import maybe_span
 from .compiled import compile_leaf
-from .engine import ClockGatedComponent
+from .engine import (ClockGatedComponent, StimulusSpec, draw_stimuli,
+                     prepare_feeds)
+from .trace import SimulationTrace
 
 #: Opcodes of the flat program (tuple-encoded; executed through kernels).
 (OP_RUN, OP_EXPR, OP_COPY, OP_BUF_READ, OP_BUF_WRITE, OP_GATE,
@@ -958,7 +960,9 @@ class FlatSchedule:
     and :meth:`linear_steps` / :meth:`describe` name every node by its
     hierarchical path and kind, so debug output and path-keyed reports are
     stable across backends.  The IR itself is inspectable through
-    :meth:`ops_summary`.
+    :meth:`ops_summary`.  :meth:`run_horizon` runs a whole scenario at
+    once -- the same trace as driving :attr:`step` tick by tick, without
+    the per-tick dicts.
     """
 
     kind = "flat"
@@ -1003,9 +1007,16 @@ class FlatSchedule:
         self.output_spec = output_spec
         self._scratch_count = scratch_count
         self._linear = linear
+        #: only run ops (the leaves with a step) write leaf states, so a
+        #: program without them shares one leaf-state list across ticks
+        self._writes_states = any(leaf.schedule is not None
+                                  for leaf in leaves)
         #: the scalar kernel table, index-aligned with :attr:`program`
         self.kernels = [SCALAR_KERNELS[op[0]](op) for op in program]
         self.step = self._drive(self.kernels)
+        #: the step :meth:`run_horizon` stands for: a caller driving
+        #: another step (a wrapper, an observing variant) runs per tick
+        self.own_step = self.step
 
     # -- state -------------------------------------------------------------
 
@@ -1043,9 +1054,7 @@ class FlatSchedule:
         output_spec = self.output_spec
         convert = self._convert_state
         absent = ABSENT
-        # only run ops (the leaves with a step) write leaf states, so a
-        # program without them shares one leaf-state list across ticks
-        writes_states = any(leaf.schedule is not None for leaf in self.leaves)
+        writes_states = self._writes_states
 
         def step(inputs: Mapping[str, Any], state: Any,
                  tick: int) -> Tuple[Dict[str, Any], Any]:
@@ -1065,6 +1074,105 @@ class FlatSchedule:
             return outputs, FlatState(frame.next_states, frame.next_buffers)
 
         return step
+
+    def run_horizon(self, stimuli: Optional[Mapping[str, StimulusSpec]],
+                    ticks: int,
+                    histories: Optional[Dict[str, List[Any]]] = None
+                    ) -> SimulationTrace:
+        """Run one scenario from the initial state over its whole horizon.
+
+        The trace -- and every error: exception type, message and tick --
+        equals :func:`~repro.simulation.engine.run_stepped` over
+        :attr:`step` without type checks, but no per-tick input or output
+        dict is built: the stimuli are drawn once
+        (:func:`~repro.simulation.engine.draw_stimuli`; a draw that raises
+        at tick *k* is held until ticks ``0 .. k-1`` have run), each tick
+        scatters its row into the slots, runs the kernels and appends the
+        output slots to per-port columns, and the trace is built from the
+        columns.
+
+        With *histories*, the active mode of every machine is appended per
+        tick under its hierarchical path -- the per-tick
+        :meth:`mode_paths` of the state each tick leaves, as
+        :func:`~repro.scenarios.runner.execute_scenario` collects them.
+        """
+        feeds = prepare_feeds(self.component, stimuli, ticks)
+        drawn, horizon, failure = draw_stimuli(feeds, ticks)
+        n_in = len(feeds)
+        position = {name: index for index, (name, _feed) in enumerate(feeds)}
+        inputs = tuple((position[name], slot) for name, slot
+                       in self.input_spec if name in position)
+        columns: List[List[Any]] = [[] for _spec in self.output_spec]
+        outputs = tuple((column.append, slot) for column, (_name, slot)
+                        in zip(columns, self.output_spec))
+        kernels = self.kernels
+        n_slots = self.n_slots
+        n_scratch = self._scratch_count
+        writes_states = self._writes_states
+        absent = ABSENT
+        modes: List[Any] = []
+        root_names = root_buffer = None
+        if self.root_mode is not None:
+            root_names = self.machines[0].names
+            root_buffer = self.machines[0].buffer
+        observe = None if histories is None \
+            else self._history_recorder(histories)
+        state = self.initial_state()
+        states, buffers = state.leaf_states, state.buffers
+        for tick in range(horizon):
+            values = [absent] * n_slots
+            row = tick * n_in
+            for index, slot in inputs:
+                values[slot] = drawn[row + index]
+            next_states = states[:] if writes_states else states
+            next_buffers = buffers[:]
+            run_kernels(kernels, values,
+                        Frame(None, tick, states, next_states, buffers,
+                              next_buffers, [None] * n_scratch))
+            for append, slot in outputs:
+                append(values[slot])
+            if root_names is not None:
+                modes.append(root_names[next_buffers[root_buffer]])
+            if observe is not None:
+                observe(next_states, next_buffers)
+            states, buffers = next_states, next_buffers
+        if failure is not None:
+            raise failure
+        return SimulationTrace.from_columns(
+            self.component.name, ticks,
+            {name: drawn[index::n_in]
+             for index, (name, _feed) in enumerate(feeds)},
+            {name: column
+             for (name, _slot), column in zip(self.output_spec, columns)},
+            modes)
+
+    def _history_recorder(self, histories: Dict[str, List[Any]]
+                          ) -> Callable[[List[Any], List[Any]], None]:
+        """``(leaf states, buffers) -> None`` appending one tick's active
+        modes to *histories*, in :meth:`mode_paths` order: lowered machines
+        straight from their mode buffers, run leaves through their
+        :meth:`mode_paths` walk.  Only sources of active regions report."""
+        sources = [(source.within, source.mode_path, source.names,
+                    source.buffer, None) if type(source) is _Machine
+                   else (source.within, None, None, source.index, source)
+                   for source in self._mode_sources]
+        walk = self._leaf_modes
+        record = histories.setdefault
+
+        def observe(states: List[Any], buffers: List[Any]) -> None:
+            for within, path, names, index, leaf in sources:
+                if within and any(buffers[outer] != mode
+                                  for outer, mode in within):
+                    continue
+                if leaf is None:
+                    record(path, []).append(names[buffers[index]])
+                    continue
+                out: Dict[str, Any] = {}
+                walk(leaf, states[index], out)
+                for key, mode in out.items():
+                    record(key, []).append(mode)
+
+        return observe
 
     def instrumented_step(self, profile: Any,
                           clock: Any = time.perf_counter):
@@ -1212,11 +1320,16 @@ class FlatSchedule:
                 continue
             if type(source) is _Machine:
                 out[source.mode_path] = source.names[buffers[source.buffer]]
-            elif type(source.schedule) is FlatSchedule:
-                source.schedule._collect_modes(leaf_states[source.index], out)
             else:
-                _state_walk()(source.component, leaf_states[source.index],
-                              source.mode_path, out)
+                self._leaf_modes(source, leaf_states[source.index], out)
+
+    @staticmethod
+    def _leaf_modes(leaf: _Leaf, state: Any, out: Dict[str, Any]) -> None:
+        """The machines in the state of run leaf *leaf* into *out*."""
+        if type(leaf.schedule) is FlatSchedule:
+            leaf.schedule._collect_modes(state, out)  # noqa: SLF001
+        else:
+            _state_walk()(leaf.component, state, leaf.mode_path, out)
 
     def __repr__(self) -> str:
         return (f"FlatSchedule({self.component.name!r}, "

@@ -11,13 +11,17 @@ execution backends: identical traces -- value AND Python type, so an
 int-exact division that decays to ``numpy`` true division or an int64
 wraparound is a failure even when ``==`` would hide it -- and identical
 error strings on failing scenarios.  The native C backend joins only when
-the host has a compiler (``native_available``).
+the host has a compiler (``native_available``).  Flat and native run both
+as whole-horizon runs (what ``CompiledSimulator.run`` and
+``execute_scenario`` take) and tick by tick (flat: a wrapper installed as
+``schedule.step``).
 
 Every generation step draws from one seeded ``random.Random``, so a
 reported seed reproduces the exact divergence.  The regressions this fuzz
 historically flushed out are pinned individually in ``test_batch_ir.py``.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -227,6 +231,27 @@ def _per_tick(simulator):
     return run
 
 
+@contextlib.contextmanager
+def _substituted_step(schedule):
+    """A wrapper installed as ``schedule.step`` for the block: a
+    substituted step runs tick by tick, so for the flat backend this is
+    the per-tick path its whole-horizon run must equal."""
+    own = schedule.step
+    schedule.step = lambda inputs, state, tick: own(inputs, state, tick)
+    try:
+        yield
+    finally:
+        schedule.step = own
+
+
+def _stepped(simulator):
+    """*simulator*'s run under :func:`_substituted_step`."""
+    def run(stimuli, ticks):
+        with _substituted_step(simulator.schedule):
+            return simulator.run(stimuli, ticks)
+    return run
+
+
 def _typed_streams(trace):
     return {port: [(type(v), v) for v in stream.values()]
             for port, stream in trace.outputs.items()}
@@ -241,11 +266,13 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
     interpreter = Simulator(model)
     flat = CompiledSimulator(model, backend="flat")
     outcomes = compile_batch(model).run_battery(battery)
-    runners = [("flat", flat.run)]
+    # the flat whole-horizon run and the per-tick flat step
+    runners = [("flat", flat.run), ("flat per-tick", _stepped(flat))]
     # the swapped-in step variants: byte-identical traces, identical
     # exception type, message and tick as the default flat step
     batch = CompiledSimulator(model, backend="batch")
     variants = [
+        ("flat per-tick", _stepped(flat)),
         ("flat+profile_ops", _in_session(flat.run, profile_ops=True)),
         ("flat+flight_recording",
          _in_session(flat.run, flight_recording=True)),
@@ -735,6 +762,12 @@ def test_backends_agree_on_random_roots(seed):
             assert _pinned_outcome(_per_tick(simulators["native"]), stimuli,
                                    ticks) == expected, \
                 (seed, name, "native per-tick")
+        flat = simulators["flat"]
+        assert _pinned_outcome(_stepped(flat), stimuli, ticks) == expected, \
+            (seed, name, "flat per-tick")
+        with _substituted_step(flat.schedule):
+            results.append(("flat per-tick", execute_scenario(
+                flat, Scenario(name, stimuli, ticks), collect_modes=True)))
         for backend, simulator in simulators.items():
             assert _pinned_outcome(simulator.run, stimuli, ticks) \
                 == expected, (seed, name, backend)

@@ -1,8 +1,10 @@
 """The batch coverage/aggregation layer and trace JSON export."""
 
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import find_stds, machine_inventory
 from repro.core.values import ABSENT
@@ -256,6 +258,65 @@ def test_port_stats_sample_is_order_insensitive():
     merged.merge(backward)
     merged.merge(forward)
     assert merged.value_sample == forward.value_sample
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Celsius(float):
+    pass
+
+
+#: Port values: ints and floats (NaN, infinities, ``1`` and ``1.0``
+#: ties), bools (non-numeric), IntEnum members and float subclasses
+#: (numeric), strings -- enough distinct ones to pass the 12-value
+#: sample cap -- and ABSENT.
+_port_values = st.one_of(
+    st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1, 1.0, float("nan"), 0, 0.0, -0.0]), st.booleans(),
+    st.sampled_from(list(_Level)), st.floats(-5, 5).map(_Celsius),
+    st.text(alphabet="abcdefghijklmnopqrstu", max_size=2),
+    st.just(ABSENT))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_port_values, max_size=40), max_size=4))
+def test_port_stats_column_fold_equals_the_value_fold(columns):
+    """``observe_column`` over each column equals ``observe`` over each
+    value in order: counts, the very bound objects (so ties keep the
+    first-seen value and NaN orders as in the sequential fold), the
+    sample, and the ``to_json_dict`` round trip."""
+    from repro.scenarios import PortStats
+    by_value, by_column = PortStats("p"), PortStats("p")
+    for column in columns:
+        for value in column:
+            by_value.observe(value)
+        by_column.observe_column(column)
+    assert by_column.total_ticks == by_value.total_ticks
+    assert by_column.present_ticks == by_value.present_ticks
+    assert by_column.minimum is by_value.minimum
+    assert by_column.maximum is by_value.maximum
+    assert len(by_column.value_sample) == len(by_value.value_sample)
+    assert all(mine is theirs for mine, theirs
+               in zip(by_column.value_sample, by_value.value_sample))
+    assert json.dumps(by_column.to_json_dict()) == \
+        json.dumps(by_value.to_json_dict())
+
+
+def test_port_stats_column_fold_pins_ties_and_nan():
+    from repro.scenarios import PortStats
+    stats = PortStats("p")
+    stats.observe_column([1, 1.0, ABSENT, True, _Level.HIGH])
+    assert type(stats.minimum) is int and stats.maximum is _Level.HIGH
+    assert stats.value_sample == [True] and stats.present_ticks == 4
+    nan = float("nan")
+    stats.observe_column([nan, 0.5])
+    assert stats.minimum == 0.5     # NaN never wins against a bound
+    fresh = PortStats("p")
+    fresh.observe_column([nan, 0.5, 7])
+    assert fresh.minimum is nan and fresh.maximum is nan
 
 
 def test_run_with_report_aggregates_incrementally(engine_modes_mtd):
