@@ -33,19 +33,33 @@ def time_best(runner, repeats: int = 3) -> float:
     return best
 
 
-def time_best_interleaved(runners: dict, rounds: int = 7) -> dict:
-    """Best-of-*rounds* wall clock per runner of *runners* (name ->
+def time_interleaved(runners: dict, rounds: int = 7) -> dict:
+    """Wall clock of every round per runner of *runners* (name ->
     callable), timed in interleaved rounds: each round runs every runner
-    once, in order.  For gates comparing two paths of one engine by a
-    small margin: a burst of load on a shared host then slows both sides
-    of the comparison instead of one."""
-    best = {name: float("inf") for name in runners}
+    once, in order, so a burst of load on a shared host slows both sides
+    of a comparison instead of one."""
+    samples = {name: [] for name in runners}
     for _ in range(rounds):
         for name, runner in runners.items():
             start = time.perf_counter()
             runner()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
+            samples[name].append(time.perf_counter() - start)
+    return samples
+
+
+def time_best_interleaved(runners: dict, rounds: int = 7) -> dict:
+    """Best-of-*rounds* wall clock per runner, timed in interleaved rounds
+    (:func:`time_interleaved`).  For gates comparing two paths of one
+    engine by a small margin."""
+    return {name: min(seconds) for name, seconds
+            in time_interleaved(runners, rounds).items()}
+
+
+def spread(samples) -> dict:
+    """``min`` / ``median`` / ``max`` of *samples*: the spread a gate's
+    timings are recorded with."""
+    return {"min": min(samples), "median": statistics.median(samples),
+            "max": max(samples)}
 
 
 def time_median(runner, repeats: int = 5) -> float:

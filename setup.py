@@ -2,6 +2,6 @@ from setuptools import setup
 
 setup(
     # numpy backs the vectorized batch simulation backend
-    # (repro.simulation.batch_ir / repro.core.expr_batch)
+    # (repro.simulation.batch_ir / repro.simulation.lanes)
     install_requires=["numpy"],
 )

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Collection, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..core.errors import CodeGenError
 from ..core.expressions import (BinaryOp, Call, Conditional, Expression,
@@ -134,6 +134,58 @@ def c_double_literal(value: float) -> str:
     if math.isinf(value):
         return "__builtin_inf()" if value > 0 else "-__builtin_inf()"
     return value.hex()
+
+
+def lowers(node: Expression, names: Collection[str],
+           functions: Optional[Mapping[str, Callable[..., Any]]] = None
+           ) -> bool:
+    """True when :class:`TaggedEmitter` lowers *node* over an op
+    environment binding *names* with the evaluator functions *functions*
+    -- decided from the AST alone, without emitting C.
+
+    The rule is the emitter's: every operator and call has a row with a
+    tagged template of its arity and no custom function shadows a called
+    built-in, every literal is an int64, a double or a bool, and every
+    variable is bound.  The batch backend vectorizes exactly the
+    expressions this accepts (:mod:`repro.simulation.lanes`).
+    """
+    table = function_table(functions)
+
+    def fits(row: Optional[Operator], operands: Sequence[Expression]
+             ) -> bool:
+        return (row is not None and bool(row.lowering)
+                and TaggedEmitter.arity(row) == len(operands)
+                and all(walk(operand) for operand in operands))
+
+    def walk(node: Expression) -> bool:
+        if isinstance(node, Literal):
+            value = node.value
+            return type(value) in (bool, float) or (
+                type(value) is int and _INT64_MIN <= value <= _INT64_MAX)
+        if isinstance(node, Variable):
+            return node.name in names
+        if isinstance(node, Present):
+            return True
+        if isinstance(node, UnaryOp):
+            return fits(UNARY_OPERATORS.get(node.op), (node.operand,))
+        if isinstance(node, BinaryOp):
+            return fits(BINARY_OPERATORS.get(node.op), (node.left, node.right))
+        if isinstance(node, Conditional):
+            return all(walk(part) for part in (node.condition,
+                                               node.then_branch,
+                                               node.else_branch))
+        if isinstance(node, Call):
+            row = FUNCTIONS.get(node.function)
+            return (row is not None and table.get(node.function) is row.apply
+                    and fits(row, node.arguments))
+        return False
+
+    return walk(node)
+
+
+#: Template operand counts by :attr:`Operator.lowering` (memoized
+#: :meth:`TaggedEmitter.arity`).
+_ARITY: Dict[Tuple[str, ...], int] = {}
 
 
 class TaggedEmitter:
@@ -317,18 +369,29 @@ class TaggedEmitter:
 
         raise CodeGenError(f"cannot lower expression node {node!r}")
 
+    @classmethod
+    def arity(cls, row: Operator) -> int:
+        """The operand count of *row*'s tagged template: an eager body's
+        signature ``(row, operands..., r, parameters...)`` fixes it; the
+        lazy ``short_circuit`` template takes two."""
+        count = _ARITY.get(row.lowering)
+        if count is None:
+            template, *parameters = row.lowering
+            body = getattr(cls, f"_body_{template}", None)
+            count = _ARITY[row.lowering] = 2 if body is None else len(
+                inspect.signature(body).parameters) - 3 - len(parameters)
+        return count
+
     def _lower(self, row: Optional[Operator], symbol: str,
                operands: Sequence[Expression]) -> str:
         if row is None or not row.lowering:
             raise CodeGenError(f"no tagged C template for {symbol!r}")
         template, *parameters = row.lowering
-        body = getattr(self, f"_body_{template}", None)
-        if body is None:  # lazy template, emitted inline
+        if not hasattr(self, f"_body_{template}"):  # lazy, emitted inline
             return getattr(self, f"_lower_{template}")(row, operands,
                                                        *parameters)
-        # eager: every operand is evaluated first; the body's signature
-        # (row, operands..., r, parameters...) fixes the operand count
-        count = len(inspect.signature(body).parameters) - 2 - len(parameters)
+        # eager: every operand is evaluated first
+        count = self.arity(row)
         *arguments, r = self._operands(row, operands, count)
         name = self._helper(row, template, parameters, count)
         pointers = ", ".join(f"&{p}" for p in arguments)

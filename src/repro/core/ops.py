@@ -9,11 +9,13 @@ from the rows instead of restating them:
   compiler (:mod:`repro.core.expr_compile`) call :attr:`Operator.apply` on
   present operands and report the exceptions listed in
   :attr:`Operator.errors` through :meth:`Operator.failure`;
-* the batch compiler (:mod:`repro.core.expr_batch`) lifts
-  :attr:`Operator.apply` into lane kernels;
 * the C translators (:mod:`repro.ascet.c_expr`) spell a row with
   :attr:`Operator.c` in deployed code and lower it to exact tagged C with
   the template named by :attr:`Operator.lowering`;
+* the batch backend's lane kernels (:mod:`repro.simulation.lanes`)
+  dispatch on the same template name, apply :attr:`Operator.apply` to
+  NumPy payload rows, and vectorize exactly the expressions the tagged C
+  lowering accepts;
 * the lint (:mod:`repro.analysis.lint.expr_check`) checks operands against
   :attr:`Operator.operands` and :attr:`Operator.divisor` and derives the
   abstract result from :attr:`Operator.kind` and :attr:`Operator.interval`.

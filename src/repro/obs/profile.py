@@ -5,9 +5,9 @@ op program; the batch backend (:mod:`repro.simulation.batch_ir`) sweeps
 the same program across scenario lanes.  An :class:`OpProfile` records,
 per program position: execution count and accumulated wall time, plus
 gate skip counts, per-mode region entries of each machine's ``switch``,
-correction-barrier re-runs and (for the batch backend) scalar-fallback
-tick counts -- everything needed to answer *where do the ticks go* per
-backend.
+correction-barrier re-runs and (for the batch backend) per-lane op
+fallbacks and scalar-fallback tick counts -- everything needed to answer
+*where do the ticks go* per backend.
 
 Profiles are recorded only by **instrumented** kernel tables
 (:func:`~repro.simulation.schedule_ir.profiled_kernels`, swapped in by the
@@ -33,7 +33,7 @@ class OpProfile:
     __slots__ = ("label", "op_kinds", "op_names", "nested_ops", "counts",
                  "times", "gate_skips", "region_entries",
                  "correction_reruns", "ticks", "total_time_s",
-                 "scalar_fallback_ticks")
+                 "scalar_fallback_ticks", "lane_fallbacks")
 
     def __init__(self, label: str, op_labels: Sequence[OpLabel]):
         self.label = label
@@ -53,6 +53,9 @@ class OpProfile:
         self.total_time_s = 0.0
         #: ticks replayed through the scalar path by the batch backend
         self.scalar_fallback_ticks = 0
+        #: per-lane scalar runs of batch ``expr``/``mode`` ops (lanes a
+        #: lane kernel flagged, every lane of an op without one)
+        self.lane_fallbacks = 0
 
     # -- derived views -----------------------------------------------------
 
@@ -111,6 +114,7 @@ class OpProfile:
         self.ticks += other.ticks
         self.total_time_s += other.total_time_s
         self.scalar_fallback_ticks += other.scalar_fallback_ticks
+        self.lane_fallbacks += other.lane_fallbacks
         return self
 
     # -- export ------------------------------------------------------------
@@ -130,6 +134,7 @@ class OpProfile:
             "correction_reruns": self.correction_reruns,
             "nested_fallback_runs": self.nested_fallback_runs(),
             "scalar_fallback_ticks": self.scalar_fallback_ticks,
+            "lane_fallbacks": self.lane_fallbacks,
             "ops": [{
                 "index": index,
                 "kind": self.op_kinds[index],
@@ -178,6 +183,8 @@ def format_profile(profile: OpProfile, top: int = 10) -> str:
     if profile.scalar_fallback_ticks:
         lines.append(f"  scalar-fallback ticks: "
                      f"{profile.scalar_fallback_ticks}")
+    if profile.lane_fallbacks:
+        lines.append(f"  lane fallbacks: {profile.lane_fallbacks}")
     hottest = profile.hottest_ops(top)
     if hottest:
         lines.append(f"  hottest ops (top {len(hottest)}):")

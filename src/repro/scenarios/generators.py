@@ -269,6 +269,17 @@ class ModeSequence(StimulusGenerator):
             position -= duration
         return self.segments[-1][0] if self.hold_last else ABSENT
 
+    def materialize(self, ticks: int) -> List[Any]:
+        """The history over ``0 .. ticks-1`` in one walk of the segments
+        (equal to :meth:`sample` at every tick)."""
+        values: List[Any] = []
+        for value, duration in self.segments:
+            if len(values) >= ticks:
+                break
+            values += [value] * min(duration, ticks - len(values))
+        tail = self.segments[-1][0] if self.hold_last else ABSENT
+        return values + [tail] * (ticks - len(values))
+
     def total_ticks(self) -> int:
         """The combined duration of all segments."""
         return sum(duration for _, duration in self.segments)

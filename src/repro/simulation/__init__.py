@@ -9,8 +9,10 @@
   cross-hierarchy flattening onto one global step program with slot-based
   environments, gating predicates, mode switches and correction barriers
 * :mod:`repro.simulation.batch_ir` -- the vectorized battery backend:
-  the flat program over a ``(slot, scenario)`` NumPy plane, one sweep per
-  scenario battery (requires NumPy; gated exports are ``None`` without it)
+  the flat program over a tagged ``(slot, scenario)`` NumPy plane, one
+  sweep per scenario battery, with the lane kernels of
+  :mod:`repro.simulation.lanes` (requires NumPy; gated exports are
+  ``None`` without it)
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
   lowered to one compiled C function driven through ctypes, one call per
   scenario (requires a platform C compiler; check :func:`native_available`)

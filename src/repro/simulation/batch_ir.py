@@ -4,71 +4,80 @@ The flat schedule (:mod:`repro.simulation.schedule_ir`) runs one scenario
 per call: a linear op program over a flat slot environment, one Python
 value per slot.  Scenario batteries run that program S times per tick --
 yet the program, the slots and the tick structure are identical across
-scenarios; only the values differ.  This module widens each slot to a
-**lane row**: the per-tick environment becomes a ``(slot, scenario)``
-NumPy object array, and the whole battery advances through each tick with
-ONE pass over the op program.
+scenarios; only the values differ.  This module widens each slot to one
+value per **lane** (scenario) on a tagged numeric plane
+(:mod:`repro.simulation.lanes`): a tag row plus a float64 payload row per
+slot, delayed buffer and input or output column, with ints held exactly
+while ``|v| < 2**53`` and every other value an opaque lane backed by the
+sweep's object side table.  The whole battery advances through each tick
+with ONE pass over the op program.
 
 Kernels (index-aligned with the flat program, so gate jump targets carry
 over; :func:`~repro.simulation.schedule_ir.run_kernels` drives them):
 
 * ``copy`` / ``buf_read`` / ``buf_write`` / ``gate`` / ``jump`` -- the
-  scalar kernels unchanged: on lane rows a slot copy is a whole-row
-  assignment, and a clock depends on the tick only, so a silent one skips
-  every lane;
-* ``expr``      -- expression closures are recompiled into lane-masked
-  ufunc chains (:mod:`repro.core.expr_batch`): one call evaluates a node
-  for every active scenario, with ABSENT threaded through the object
-  lanes and short-circuit/conditional masks restricting evaluation to
-  exactly the lanes the scalar engine would evaluate;
-* ``mode``      -- a machine's guards are recompiled the same way and
+  scalar kernels unchanged: a slot is one ``(2, lanes)`` block of the
+  plane, so a slot copy moves both rows at once, and a clock depends on
+  the tick only, so a silent one skips every lane;
+* ``expr`` / ``mode`` -- exactly the ops the native backend lowers to C
+  (:func:`~repro.simulation.native.emit.expr_op_lowers`,
+  :func:`~repro.simulation.native.emit.mode_op_lowers`) run as NumPy
+  kernels mirroring its tagged templates; a machine's guards are
   evaluated per current mode in priority order, each on exactly the lanes
-  still waiting for a guard to fire;
-* ``switch``    -- runs each behaviour region once per tick under the mask
+  still waiting for a guard to fire.  The lanes a kernel flags -- where
+  the templates cannot compute Python's exact value, as native bails to
+  its trampoline -- re-run the whole op through the flat schedule's
+  scalar kernel, one lane at a time, and so does every active lane of an
+  op that does not lower;
+* ``switch`` -- runs each behaviour region once per tick under the mask
   of the lanes in that mode, then restores the region's slot and buffer
-  rows on every other lane (the regions' closing ``jump`` ops never run);
+  rows on the active lanes in other modes (the regions' closing ``jump``
+  ops never run);
 * ``run`` / ``correct`` -- leaf steps (STDs, atomic blocks, custom
   ``react`` components, subtrees a correction barrier re-runs) and
-  correction barriers keep their per-scenario step closures and loop over
-  the active lanes only.
+  correction barriers run their scalar kernels per active lane.
+
+A scalar kernel runs a lane over a plain list of that lane's Python
+values: the slots the op reads are decoded for all its lanes at once and
+the slots it writes are encoded back at once; leaf states, delayed
+buffers and scratch entries are reached through views of the lane.
 
 **Active masks.**  Scenarios of unequal length share one sweep: a lane is
 active while ``tick < its horizon``; finished and failed lanes simply drop
 out of the mask.  Lane state (leaf states, delayed buffers, slot rows) is
 strictly per-lane -- nothing is ever read across the scenario axis.
 
-**Error parity without batch poisoning.**  The vectorized kernels promise
-to raise whenever any active lane would raise under the scalar engine
-(and to compute bit-identical values when none would).  On any raise the
-sweep discards the half-done vectorized tick and re-runs that one tick
-per active lane through ``FlatSchedule.step`` -- the scalar closures --
+**Error parity without batch poisoning.**  Only a scalar kernel run for a
+lane can raise.  On any raise the sweep discards the half-done vectorized
+tick and re-runs that one tick per active lane through ``FlatSchedule.step``
 from the tick-start state.  Lanes that raise there record the *exact*
 scalar exception (same type, message and tick) and leave the battery;
-surviving lanes continue vectorized at the next tick.  Stimulus
-validation runs through :func:`repro.simulation.engine.prepare_feeds`,
-the same helper :func:`~repro.simulation.engine.run_stepped` uses, so
-rejection messages are identical by construction.
-
-Stimulus callables are materialized for the full horizon up front (one
-draw sequence per lane, in lane order).  Deterministic ``tick -> value``
-functions -- the de-facto contract of the sharded runner, which already
-re-materializes generators per worker -- observe no difference.
+surviving lanes continue vectorized at the next tick.  Stimuli are
+validated by :func:`repro.simulation.engine.prepare_feeds` and drawn by
+:func:`repro.simulation.engine.draw_stimuli` -- the helpers the flat and
+native backends use -- so rejection messages and draw order are identical
+by construction, and a failing draw (or, with type checks, a rejected
+input) is held until the lane's earlier ticks have run.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.expr_batch import compile_batch_expression, fired_on
 from ..core.types import check_value
 from ..core.values import ABSENT, is_absent
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
-from .engine import StimulusSpec, prepare_feeds
+from .engine import StimulusSpec, draw_stimuli, prepare_feeds
+from .lanes import (TAG_ABSENT, TAG_INT, TAG_OBJ, LaneView, ObjectTable,
+                    compile_lanes, decode_rows, encode_value, encode_values,
+                    guard_outcome)
+from .native.emit import expr_op_lowers, mode_op_lowers
 from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
                           OP_EXPR, OP_MODE, OP_RUN, OP_SWITCH,
                           SCALAR_KERNELS, FlatSchedule, FlatState, Frame,
@@ -112,112 +121,238 @@ class LaneOutcome:
 
 
 def _capture(exc: BaseException) -> Tuple[str, BaseException]:
-    """Format a lane failure exactly like ``execute_scenario`` (call from
-    inside the ``except`` block so the traceback is still current)."""
-    detail = traceback.format_exc(limit=3).strip().splitlines()[-1]
-    error = f"{type(exc).__name__}: {exc}" if str(exc) else detail
+    """Format a lane failure exactly like ``execute_scenario`` formats the
+    exception it catches (the last line of its traceback)."""
+    detail = "".join(traceback.format_exception_only(type(exc), exc))
+    error = f"{type(exc).__name__}: {exc}" if str(exc) \
+        else detail.strip().splitlines()[-1]
     return error, exc
 
 
-def _absent_plane(rows: int, lanes: int) -> np.ndarray:
-    plane = np.empty((rows, lanes), dtype=object)
-    plane.fill(ABSENT)
-    return plane
+#: Lanes whose stimuli are encoded per call: bounds the temporaries of a
+#: wide battery.
+_ENCODE_LANES = 64
+
+#: One tick of compact rows: uint8 tags and float64 payloads, ``(port,
+#: lane)`` each.
+TickRows = Tuple[np.ndarray, np.ndarray]
+
+
+def _absent_rows(ports: int, lanes: int) -> TickRows:
+    return (np.full((ports, lanes), TAG_ABSENT, dtype=np.uint8),
+            np.zeros((ports, lanes)))
+
+
+def _input_rows(columns: Sequence[Optional[List[List[Any]]]],
+                horizons: np.ndarray, horizon: int, ports: List[int],
+                objects: ObjectTable) -> List[TickRows]:
+    """Per tick, the rows of the input ports *ports* (indexes into each
+    lane's drawn *columns*), absent beyond each lane's horizon.  The
+    columns are encoded in bulk, a chunk of lanes of one horizon per
+    call."""
+    lanes = len(columns)
+    rows = [_absent_rows(len(ports), lanes) for _ in range(horizon)]
+    groups: Dict[int, List[int]] = {}
+    for index in range(lanes):
+        if columns[index] is not None and horizons[index]:
+            groups.setdefault(int(horizons[index]), []).append(index)
+    for lane_horizon, group in groups.items():
+        for start in range(0, len(group), _ENCODE_LANES):
+            chunk = group[start:start + _ENCODE_LANES]
+            n_in = len(columns[chunk[0]])
+            encoded = encode_values(list(chain.from_iterable(
+                chain.from_iterable(columns[index]) for index in chunk)),
+                objects)
+            for part, flat in enumerate(encoded):
+                block = flat.reshape(len(chunk), n_in, lane_horizon)[:, ports]
+                for tick in range(lane_horizon):
+                    rows[tick][part][:, chunk] = block[:, :, tick].T
+    return rows
+
+
+def _column(rows: List[TickRows], port: int, lanes: int) -> TickRows:
+    """The ``(tick, lane)`` tags and payloads of *port* over *rows*."""
+    if not rows:
+        return np.empty((0, lanes)), np.empty((0, lanes))
+    return (np.stack([tags[port] for tags, _payloads in rows]),
+            np.stack([payloads[port] for _tags, payloads in rows]))
+
+
+class _LaneRows:
+    """One lane of per-lane Python rows (``rows[i][lane]``): the leaf
+    states and scratch entries a scalar kernel sees for that lane."""
+
+    __slots__ = ("rows", "lane")
+
+    def __init__(self, rows: Sequence[List[Any]], lane: int):
+        self.rows = rows
+        self.lane = lane
+
+    def __getitem__(self, index: int) -> Any:
+        return self.rows[index][self.lane]
+
+    def __setitem__(self, index: int, value: Any) -> None:
+        self.rows[index][self.lane] = value
 
 
 class LaneFrame(Frame):
-    """A :class:`~repro.simulation.schedule_ir.Frame` over lane rows
-    (``[leaf][lane]`` states, a ``(buffer, lane)`` buffer plane) plus the
-    tick's active-lane mask and its indices, and the kernel table being
-    run (a switch runs its regions' kernels from it)."""
+    """A :class:`~repro.simulation.schedule_ir.Frame` over the tagged
+    plane (``[leaf][lane]`` states, ``(buffer, 2, lane)`` buffer planes,
+    ``[entry][lane]`` scratch) plus the mask of the lanes the running ops
+    compute, the kernel table being run (a switch runs its regions'
+    kernels from it), the sweep's object side table and the tick's tally
+    of per-lane op fallbacks."""
 
-    __slots__ = ("active", "indices", "kernels")
+    __slots__ = ("active", "kernels", "objects", "fallbacks", "_lanes")
+
+    def lane(self, lane: int) -> Frame:
+        """The frame a scalar kernel runs *lane* with: views of the lane's
+        states, buffers and scratch.  The sweep keeps those containers for
+        all its ticks, so a lane's frame is built once per sweep."""
+        frame = self._lanes.get(lane)
+        if frame is None:
+            objects = self.objects
+            frame = self._lanes[lane] = Frame(
+                None, self.tick, _LaneRows(self.prev_states, lane),
+                _LaneRows(self.next_states, lane),
+                LaneView(self.prev_buffers, lane, objects),
+                LaneView(self.next_buffers, lane, objects),
+                _LaneRows(self.scratch, lane))
+        frame.tick = self.tick
+        return frame
 
 
-# -- lane kernels: the ops that compute rather than move ----------------------
+class _PerLane:
+    """One op run through its scalar kernel lane by lane.
+
+    Each lane runs over a plain list of Python values: the slots the op
+    reads are decoded into it for all the lanes at once, and the slots it
+    writes are encoded back from the lanes' lists at once -- so per lane
+    only the scalar kernel itself runs.  ``expr`` ops touch no frame; the
+    others get the lane's frame (:meth:`LaneFrame.lane`)."""
+
+    __slots__ = ("kernel", "reads", "writes", "framed")
+
+    def __init__(self, op: Tuple[Any, ...]):
+        code = op[0]
+        self.kernel = SCALAR_KERNELS[code](op)
+        if code == OP_CORRECT:
+            slots = [slot for entry in op[1] for _name, slot in entry[3]]
+        else:
+            slots = [slot for _name, slot in op[3 if code == OP_RUN else 2]]
+        if code in (OP_RUN, OP_EXPR):
+            slots += [src for src, _dst in op[5 if code == OP_RUN else 4]]
+        self.reads = sorted(set(slots))
+        self.writes = _region_writes((op,), 0, 1)[0]
+        self.framed = code != OP_EXPR
+
+    def __call__(self, values: np.ndarray, frame: LaneFrame,
+                 lanes: np.ndarray) -> None:
+        """Run the lanes of the mask *lanes*."""
+        indices = np.flatnonzero(lanes)
+        objects = frame.objects
+        reads, kernel = self.reads, self.kernel
+        rows = decode_rows(values[reads, 0][:, indices],
+                           values[reads, 1][:, indices], objects).T.tolist()
+        blank = [ABSENT] * len(values)
+        lists = []
+        for lane, row in zip(indices.tolist(), rows):
+            lane_values = blank[:]
+            for slot, value in zip(reads, row):
+                lane_values[slot] = value
+            kernel(lane_values, frame.lane(lane) if self.framed else None)
+            lists.append(lane_values)
+        for slot in self.writes:
+            tags, payloads = encode_values(
+                [lane_values[slot] for lane_values in lists], objects)
+            values[slot, 0, indices] = tags
+            values[slot, 1, indices] = payloads
 
 
-def _lane_run_kernel(op: Tuple[Any, ...]) -> Kernel:
-    _, leaf_index, fn, in_spec, out_spec, post, si = op
+# -- lane kernels ----------------------------------------------------------------
 
-    def run(values: np.ndarray, frame: LaneFrame) -> None:
-        tick = frame.tick
-        prev_row = frame.prev_states[leaf_index]
-        next_row = frame.next_states[leaf_index]
-        lane_inputs = None
-        if si >= 0:
-            lane_inputs = frame.scratch[si] = {}
-        for lane in frame.indices:
-            sub_inputs = {name: values[slot, lane] for name, slot in in_spec}
-            outputs, new_state = fn(sub_inputs, prev_row[lane], tick)
-            next_row[lane] = new_state
-            for name, slot in out_spec:
-                values[slot, lane] = outputs.get(name, ABSENT)
-            if lane_inputs is not None:
-                lane_inputs[lane] = sub_inputs
-        for src, dst in post:
-            values[dst] = values[src]
 
-    return run
+def _per_lane_kernel(op: Tuple[Any, ...]) -> Kernel:
+    """``run`` / ``correct``: the scalar kernel on every active lane."""
+    per_lane = _PerLane(op)
+
+    def run_lanes(values: np.ndarray, frame: LaneFrame) -> None:
+        per_lane(values, frame, frame.active)
+
+    return run_lanes
+
+
+def _fallback(per_lane: _PerLane, values: np.ndarray, frame: LaneFrame,
+              lanes: Any) -> None:
+    """Re-run an op through its scalar kernel on the lanes of the mask
+    *lanes* (None: no lane)."""
+    if lanes is not None and lanes.any():
+        frame.fallbacks += int(np.count_nonzero(lanes))
+        per_lane(values, frame, lanes)
 
 
 def _lane_expr_kernel(op: Tuple[Any, ...]) -> Kernel:
-    _, _leaf, in_spec, items, post = op
+    _, _leaf, in_spec, _items, post, lane_items = op
+    scalar = _PerLane(op[:5])
+    if lane_items is None:
+        def expr_per_lane(values: np.ndarray, frame: LaneFrame) -> None:
+            _fallback(scalar, values, frame, frame.active)
+        return expr_per_lane
 
     def expr(values: np.ndarray, frame: LaneFrame) -> None:
         active = frame.active
         env = {name: values[slot] for name, slot in in_spec}
-        for slot, fn in items:
+        results = [(slot, fn(env, active)) for slot, fn in lane_items]
+        bail = None
+        for slot, (tags, payloads, flagged) in results:
             if slot >= 0:
-                values[slot] = fn(env, active)
-            else:
-                fn(env, active)
+                values[slot, 0] = tags
+                values[slot, 1] = payloads
+            if flagged is not None:
+                bail = flagged if bail is None else bail | flagged
         for src, dst in post:
             values[dst] = values[src]
+        _fallback(scalar, values, frame, bail)
 
     return expr
 
 
-def _lane_correct_kernel(op: Tuple[Any, ...]) -> Kernel:
-    entries = op[1]
-
-    def correct(values: np.ndarray, frame: LaneFrame) -> None:
-        tick = frame.tick
-        for si, leaf_index, fn, in_spec in entries:
-            lane_inputs = frame.scratch[si]
-            prev_row = frame.prev_states[leaf_index]
-            next_row = frame.next_states[leaf_index]
-            for lane in frame.indices:
-                final = {name: values[slot, lane] for name, slot in in_spec}
-                if final != lane_inputs[lane]:
-                    _, corrected = fn(final, prev_row[lane], tick)
-                    next_row[lane] = corrected
-
-    return correct
-
-
 def _lane_mode_kernel(op: Tuple[Any, ...]) -> Kernel:
-    _, _machine, in_spec, table, buf, mode_slot, names = op
-    name_row = np.array(names, dtype=object)
+    _, _machine, in_spec, _table, buf, mode_slot, _names, lane_table, base \
+        = op
+    scalar = _PerLane(op[:7])
+    if lane_table is None:
+        def mode_per_lane(values: np.ndarray, frame: LaneFrame) -> None:
+            _fallback(scalar, values, frame, frame.active)
+        return mode_per_lane
 
     def mode(values: np.ndarray, frame: LaneFrame) -> None:
-        current = frame.prev_buffers[buf].astype(np.int64)
+        current = frame.prev_buffers[buf, 1]
         following = current.copy()
         env = {name: values[slot] for name, slot in in_spec}
-        for index, guards in enumerate(table):
+        bail = None
+        for index, guards in enumerate(lane_table):
             pending = frame.active & (current == index)
-            # priority order: a lane leaves *pending* when a guard fires,
-            # so later guards are evaluated on exactly the scalar lanes
+            # priority order: a lane leaves *pending* when a guard fires
+            # (or bails), so later guards are evaluated on exactly the
+            # scalar lanes
             for guard, target in guards:
                 if not pending.any():
                     break
-                row = guard(env, pending)
-                fired = fired_on(row, pending)
+                tags, payloads, _flagged = guard(env, pending)
+                fires, bails = guard_outcome(tags, payloads)
+                fired = pending & fires
+                flagged = pending & bails
                 following[fired] = target
-                pending &= ~fired
-        frame.next_buffers[buf] = following.astype(object)
+                pending &= ~(fires | bails)
+                bail = flagged if bail is None else bail | flagged
+        buffers = frame.next_buffers
+        buffers[buf, 0] = TAG_INT
+        buffers[buf, 1] = following
         if mode_slot >= 0:
-            values[mode_slot] = name_row[following]
+            values[mode_slot, 0] = TAG_OBJ
+            values[mode_slot, 1] = following + base
+        _fallback(scalar, values, frame, bail)
 
     return mode
 
@@ -252,34 +387,36 @@ def _lane_switch_kernel(op: Tuple[Any, ...]) -> Kernel:
     _, buf, _cases, end, regions = op
 
     def switch(values: np.ndarray, frame: LaneFrame) -> int:
-        modes = frame.next_buffers[buf]
-        active, indices = frame.active, frame.indices
-        for mode, start, stop, slots, buffers in regions:
+        buffers = frame.next_buffers
+        modes = buffers[buf, 1]
+        active = frame.active
+        for mode, start, stop, slots, buffer_indexes in regions:
             lanes = active & (modes == mode)
             if not lanes.any():
                 continue
             # the region runs once for every lane in its mode; its writes
-            # are then undone on all other lanes (rows are written whole,
-            # and a mode's buffers must carry over in the other modes)
-            saved_slots = values[slots]
-            saved_buffers = frame.next_buffers[buffers]
+            # are then undone on the lanes in other modes (rows are
+            # written whole, and a mode's buffers must carry over there)
+            others = active & ~lanes
+            rows = [values[slot] for slot in slots] \
+                + [buffers[index] for index in buffer_indexes] \
+                if others.any() else []
+            saved = [row.copy() for row in rows]
             frame.active = lanes
-            frame.indices = np.nonzero(lanes)[0].tolist()
             run_kernels(frame.kernels, values, frame, start, stop)
-            values[slots] = np.where(lanes, values[slots], saved_slots)
-            frame.next_buffers[buffers] = np.where(
-                lanes, frame.next_buffers[buffers], saved_buffers)
-        frame.active, frame.indices = active, indices
+            for row, before in zip(rows, saved):
+                np.copyto(row, before, where=others)
+        frame.active = active
         return end
 
     return switch
 
 
-#: Opcode -> kernel factory for lane rows: copy / buffer / gate / jump
-#: kernels move whole rows (or jump for every lane), so the scalar ones
-#: serve unchanged.
-LANE_KERNELS = {**SCALAR_KERNELS, OP_RUN: _lane_run_kernel,
-                OP_EXPR: _lane_expr_kernel, OP_CORRECT: _lane_correct_kernel,
+#: Opcode -> kernel factory for the tagged plane: copy / buffer / gate /
+#: jump kernels move whole slot blocks (or jump for every lane), so the
+#: scalar ones serve unchanged.
+LANE_KERNELS = {**SCALAR_KERNELS, OP_RUN: _per_lane_kernel,
+                OP_CORRECT: _per_lane_kernel, OP_EXPR: _lane_expr_kernel,
                 OP_MODE: _lane_mode_kernel, OP_SWITCH: _lane_switch_kernel}
 
 
@@ -292,6 +429,11 @@ class BatchSchedule:
     def __init__(self, flat: FlatSchedule):
         self.flat = flat
         self.component = flat.component
+        #: the mode names a lowered ``mode`` op writes, by side-table index
+        self.constants: List[Any] = []
+        #: the ``expr`` / ``mode`` op indexes that run as tagged lanes --
+        #: the ones the native backend lowers to C
+        self.vectorized_ops: List[int] = []
         with maybe_span("compile.batch_lower",
                         component=flat.component.name,
                         ops=len(flat.program)):
@@ -305,13 +447,14 @@ class BatchSchedule:
 
     # -- lowering ----------------------------------------------------------
 
-    @staticmethod
-    def _lower(flat: FlatSchedule) -> Tuple[Tuple[Any, ...], ...]:
-        """Replace scalar expression and guard closures with lane-masked
-        batch kernels, and give each switch its regions' write sets.
+    def _lower(self, flat: FlatSchedule) -> Tuple[Tuple[Any, ...], ...]:
+        """Attach lane kernels to the ``expr`` and ``mode`` ops native
+        lowers (None to the others) and give each switch its regions'
+        write sets.
 
         The op list stays index-identical to ``flat.program``, so jump
-        targets need no relocation.  Batch kernels are recompiled from the
+        targets need no relocation, and each op keeps its scalar closures
+        for the lanes that fall back.  Lane kernels are compiled from the
         expression blocks' and guards' ASTs -- the flat program stores
         compiled scalar closures, which carry no AST to translate.
         """
@@ -319,24 +462,36 @@ class BatchSchedule:
         for index, op in enumerate(flat.program):
             code = op[0]
             if code == OP_EXPR:
-                _, leaf_index, in_spec, items, post = op
-                block = flat.leaves[leaf_index].component
-                functions = block._evaluator.functions  # noqa: SLF001
-                batch_items = tuple(
-                    (slot, compile_batch_expression(expression, functions))
-                    for (slot, _scalar), (_name, expression)
-                    in zip(items, block.output_expressions.items()))
-                op = (OP_EXPR, leaf_index, in_spec, batch_items, post)
+                leaf = flat.leaves[op[1]]
+                lane_items = None
+                if expr_op_lowers(op, leaf):
+                    self.vectorized_ops.append(index)
+                    block = leaf.component
+                    names = [name for name, _slot in op[2]]
+                    lane_items = tuple(
+                        (slot, compile_lanes(
+                            expression, names,
+                            block._evaluator.functions))  # noqa: SLF001
+                        for (slot, _scalar), expression
+                        in zip(op[3], block.output_expressions.values()))
+                op = op + (lane_items,)
             elif code == OP_MODE:
-                mtd = flat.machines[op[1]].component
-                functions = mtd._evaluator.functions  # noqa: SLF001
-                table = tuple(
-                    tuple((compile_batch_expression(transition.guard,
-                                                    functions), target)
-                          for transition, (_scalar, target)
-                          in zip(mtd.transitions_from(name), guards))
-                    for name, guards in zip(op[6], op[3]))
-                op = op[:3] + (table,) + op[4:]
+                machine = flat.machines[op[1]]
+                lane_table = None
+                if mode_op_lowers(op, machine):
+                    self.vectorized_ops.append(index)
+                    mtd = machine.component
+                    names = [name for name, _slot in op[2]]
+                    lane_table = tuple(
+                        tuple((compile_lanes(
+                            transition.guard, names,
+                            mtd._evaluator.functions),  # noqa: SLF001
+                            target)
+                            for transition, (_scalar, target)
+                            in zip(mtd.transitions_from(name), guards))
+                        for name, guards in zip(op[6], op[3]))
+                op = op + (lane_table, float(len(self.constants)))
+                self.constants.extend(op[6])
             elif code == OP_SWITCH:
                 regions = tuple(
                     (mode, start, stop)
@@ -375,9 +530,9 @@ class BatchSchedule:
 
         With observability enabled (:mod:`repro.obs`) the sweep is wrapped
         in a ``batch.sweep`` span, sweep-level counters (lanes, vectorized
-        ticks, scalar-fallback activity, duration) land in the active
-        registry, and -- under ``profile_ops`` -- the op program runs
-        through a profiled variant feeding an op-level
+        ticks, per-lane op fallbacks, scalar-fallback activity, duration)
+        land in the active registry, and -- under ``profile_ops`` -- the op
+        program runs through a profiled variant feeding an op-level
         :class:`~repro.obs.profile.OpProfile`.  Disabled, the sweep binds
         the plain kernel table once and pays nothing per tick.
         """
@@ -390,6 +545,21 @@ class BatchSchedule:
             return self._run_battery(items, check_types, collect_modes,
                                      telemetry)
 
+    def _input_check(self) -> Callable[[int, int, Any], None]:
+        """The ``check`` of :func:`draw_stimuli` for type-checked runs:
+        the input type checks of :func:`run_stepped`."""
+        component = self.component
+        ports = [(name, component.port(name).port_type)
+                 for name in component.input_names()]
+
+        def check(index: int, tick: int, value: Any) -> None:
+            if not is_absent(value):
+                name, port_type = ports[index]
+                check_value(value, port_type,
+                            context=f"{component.name}.{name}@t{tick}")
+
+        return check
+
     def _run_battery(self, items: Sequence[BatteryItem], check_types: bool,
                      collect_modes: bool,
                      telemetry: Optional[Any]) -> List[LaneOutcome]:
@@ -401,71 +571,64 @@ class BatchSchedule:
 
         errors: List[Optional[str]] = [None] * lanes
         exceptions: List[Optional[BaseException]] = [None] * lanes
-        #: prefill failures deferred to their tick (a step error on an
-        #: earlier tick must win, exactly as in the scalar draw/step order)
+        #: draw failures held until their tick (a step error on an earlier
+        #: tick must win, exactly as in the scalar draw/step order)
         pending: List[Optional[Tuple[str, BaseException]]] = [None] * lanes
         requested = [0] * lanes
         horizons = np.zeros(lanes, dtype=np.int64)
-        feeds_by_lane: List[Optional[Tuple[Any, ...]]] = [None] * lanes
-
+        columns: List[Optional[List[List[Any]]]] = [None] * lanes
+        check = self._input_check() if check_types else None
         for index, (_name, stimuli, ticks) in enumerate(items):
             try:
-                feeds_by_lane[index] = prepare_feeds(component, stimuli, ticks)
+                feeds = prepare_feeds(component, stimuli, ticks)
             except Exception as exc:  # noqa: BLE001 - per-lane isolation
                 errors[index], exceptions[index] = _capture(exc)
-            else:
-                requested[index] = ticks
-                horizons[index] = ticks
+                continue
+            columns[index], horizons[index], failure = draw_stimuli(
+                feeds, ticks, check)
+            requested[index] = ticks
+            if failure is not None:
+                pending[index] = _capture(failure)
 
         input_names = component.input_names()
-        input_spec = flat.input_spec
         output_spec = flat.output_spec
-        n_scratch = flat._scratch_count  # noqa: SLF001 - same-package IR
         horizon = int(horizons.max())
+        objects = ObjectTable(self.constants)
 
-        in_rows = {name: _absent_plane(horizon, lanes) for name in input_names}
-        out_rows = {name: _absent_plane(horizon, lanes)
-                    for name, _slot in output_spec}
-
-        # prefill the input planes lane by lane, tick-major and port-inner:
-        # the exact draw (and type-check) sequence of run_stepped, so shared
-        # generator instances see the serial draw order and the first
-        # failing (tick, port) matches.  The failure is *pending* until the
-        # sweep reaches its tick: the lane still runs the ticks before it.
-        for index in range(lanes):
-            feeds = feeds_by_lane[index]
-            if feeds is None:
-                continue
-            tick = 0
-            try:
-                for tick in range(requested[index]):
-                    for name, generator in feeds:
-                        value = generator(tick) if generator is not None \
-                            else ABSENT
-                        if check_types and not is_absent(value):
-                            check_value(
-                                value, component.port(name).port_type,
-                                context=f"{component.name}.{name}@t{tick}")
-                        in_rows[name][tick, index] = value
-            except Exception as exc:  # noqa: BLE001 - per-lane isolation
-                pending[index] = _capture(exc)
-                horizons[index] = tick
+        position = {name: index for index, name in enumerate(input_names)}
+        in_rows = _input_rows(columns, horizons, horizon,
+                              [position[name] for name, _slot
+                               in flat.input_spec], objects)
+        in_slots = [slot for _name, slot in flat.input_spec]
+        out_slots = [slot for _name, slot in output_spec]
+        #: per tick, the outputs' compact rows
+        out_rows: List[TickRows] = []
+        absent_outputs = _absent_rows(len(out_slots), lanes)
 
         leaves = flat.leaves
-        n_leaves = len(leaves)
-        n_buffers = len(flat.buffer_specs)
+        n_scratch = flat._scratch_count  # noqa: SLF001 - same-package IR
+        writes_states = flat._writes_states  # noqa: SLF001
         states: List[List[Any]] = [
             [leaf.initial_state() for _ in range(lanes)] for leaf in leaves]
-        buffers = np.empty((n_buffers, lanes), dtype=object)
+        buffers = np.empty((len(flat.buffer_specs), 2, lanes))
         for buffer_index, spec in enumerate(flat.buffer_specs):
-            row = buffers[buffer_index]
-            for lane in range(lanes):
-                row[lane] = spec[0]
+            buffers[buffer_index, 0], buffers[buffer_index, 1] = \
+                encode_value(spec[0], objects)
+        # the tick's next states and buffers start as the tick-start ones
+        # (unwritten ones carry over); scratch entries are written before
+        # they are read within a tick
+        next_states = [row[:] for row in states] if writes_states \
+            else states
+        next_buffers = buffers.copy()
+        scratch = [[None] * lanes for _ in range(n_scratch)]
+        lane_frames: Dict[int, Frame] = {}
 
-        values = np.empty((flat.n_slots, lanes), dtype=object)
+        values = np.zeros((flat.n_slots, 2, lanes))  # tags reset per tick
         live = np.array([error is None for error in errors], dtype=bool)
-        histories: Optional[List[Dict[str, List[Any]]]] = \
-            [{} for _ in range(lanes)] if collect_modes else None
+        histories = [{} for _ in range(lanes)] if collect_modes else None
+        observers = [flat._history_recorder(lane_histories)  # noqa: SLF001
+                     for lane_histories in histories] \
+            if histories is not None else None
         # an MTD root's mode after every tick: its traces' mode_history
         root_machine = flat.machines[0] if flat.root_mode is not None \
             else None
@@ -484,72 +647,68 @@ class BatchSchedule:
                                        time.perf_counter)
             run = profiled_ticks(run_kernels, profile, time.perf_counter)
         vector_ticks = 0
+        lane_fallbacks = 0
         scalar_fallback_ticks = 0
         scalar_fallback_events = 0
         sweep_started = time.perf_counter() if registry is not None else 0.0
 
-        for tick in range(horizon):
-            active = live & (tick < horizons)
-            if not active.any():
-                continue
-            indices = np.nonzero(active)[0].tolist()
-            values.fill(ABSENT)
-            for name, slot in input_spec:
-                values[slot] = in_rows[name][tick]
-            next_states = [row[:] for row in states]
-            next_buffers = buffers.copy()
-            frame = LaneFrame(None, tick, states, next_states, buffers,
-                              next_buffers, [None] * n_scratch)
-            frame.active, frame.indices = active, indices
-            frame.kernels = kernels
-            try:
-                run(kernels, values, frame)
-            except Exception:  # noqa: BLE001 - some lane needs the scalar path
-                scalar_fallback_events += 1
-                scalar_fallback_ticks += len(indices)
-                if profile is not None:
-                    profile.scalar_fallback_ticks += len(indices)
-                self._scalar_tick(tick, indices, frame, in_rows, out_rows,
-                                  input_names, output_spec, live, errors,
-                                  exceptions)
-            else:
-                vector_ticks += 1
-                for name, slot in output_spec:
-                    out_rows[name][tick] = values[slot]
-            if root_modes is not None:
-                root_modes[tick] = next_buffers[root_machine.buffer]
-            if histories is not None:
-                for index in indices:
-                    if not live[index]:
-                        continue
-                    lane_state = FlatState(
-                        [next_states[leaf][index]
-                         for leaf in range(n_leaves)],
-                        next_buffers[:, index])
-                    for path, mode in flat.mode_paths(lane_state).items():
-                        histories[index].setdefault(path, []).append(mode)
-            if check_types:
-                for index in indices:
-                    if not live[index]:
-                        continue
-                    try:
-                        for name, _slot in output_spec:
-                            value = out_rows[name][tick, index]
-                            if component.has_port(name) \
-                                    and not is_absent(value):
-                                check_value(
-                                    value, component.port(name).port_type,
-                                    context=f"{component.name}.{name}@t{tick}")
-                    except Exception as exc:  # noqa: BLE001
-                        errors[index], exceptions[index] = _capture(exc)
-                        live[index] = False
-            states = next_states
-            buffers = next_buffers
+        # lane arithmetic runs on every lane, masked ones included: their
+        # floating-point status flags mean nothing
+        with np.errstate(all="ignore"):
+            for tick in range(horizon):
+                active = live & (tick < horizons)
+                tags, payloads = in_rows[tick]
+                in_rows[tick] = None  # consumed: the sweep's memory stays flat
+                if not active.any():
+                    out_rows.append(absent_outputs)
+                    continue
+                values[:, 0] = TAG_ABSENT
+                values[in_slots, 0] = tags
+                values[in_slots, 1] = payloads
+                frame = LaneFrame(None, tick, states, next_states, buffers,
+                                  next_buffers, scratch)
+                frame.active, frame.kernels = active, kernels
+                frame.objects = objects
+                frame.fallbacks, frame._lanes = 0, lane_frames
+                try:
+                    run(kernels, values, frame)
+                except Exception:  # noqa: BLE001 - a lane needs the scalar path
+                    indices = np.flatnonzero(active).tolist()
+                    scalar_fallback_events += 1
+                    scalar_fallback_ticks += len(indices)
+                    if profile is not None:
+                        profile.scalar_fallback_ticks += len(indices)
+                    outputs = self._scalar_tick(
+                        tick, indices, frame, columns, input_names,
+                        output_spec, live, errors, exceptions)
+                else:
+                    vector_ticks += 1
+                    outputs = values[out_slots]
+                lane_fallbacks += frame.fallbacks
+                if root_modes is not None:
+                    root_modes[tick] = next_buffers[root_machine.buffer, 1]
+                if observers is not None:
+                    self._observe(observers, active & live, next_states,
+                                  next_buffers, objects)
+                if check_types:
+                    self._check_outputs(tick, active & live, outputs,
+                                        objects, live, errors, exceptions)
+                out_rows.append((outputs[:, 0].astype(np.uint8),
+                                 outputs[:, 1].copy()))
+                # the next state becomes the tick-start state in place,
+                # so the lanes' frames stay valid for the whole sweep
+                if writes_states:
+                    for row, next_row in zip(states, next_states):
+                        row[:] = next_row
+                np.copyto(buffers, next_buffers)
 
+        if profile is not None:
+            profile.lane_fallbacks += lane_fallbacks
         if registry is not None:
             registry.counter("batch.sweeps").inc()
             registry.counter("batch.lanes").inc(lanes)
             registry.counter("batch.vector_ticks").inc(vector_ticks)
+            registry.counter("batch.lane_fallbacks").inc(lane_fallbacks)
             if scalar_fallback_events:
                 registry.counter("batch.scalar_fallback_events").inc(
                     scalar_fallback_events)
@@ -558,6 +717,10 @@ class BatchSchedule:
             registry.histogram("batch.sweep.duration_s").observe(
                 time.perf_counter() - sweep_started)
 
+        # every output column decoded in bulk, then cut into lanes
+        out_columns = [decode_rows(*_column(out_rows, k, lanes), objects)
+                       for k in range(len(out_slots))]
+        del out_rows
         outcomes: List[LaneOutcome] = []
         for index, (name, _stimuli, _ticks) in enumerate(items):
             if errors[index] is None and pending[index] is not None:
@@ -572,26 +735,62 @@ class BatchSchedule:
                      if root_modes is not None else ())
             trace = SimulationTrace.from_columns(
                 component.name, ticks,
-                {port_name: in_rows[port_name][:ticks, index].tolist()
-                 for port_name in input_names},
-                {port_name: out_rows[port_name][:ticks, index].tolist()
-                 for port_name, _slot in output_spec}, modes)
+                dict(zip(input_names, columns[index])),
+                {port_name: out_columns[k][:ticks, index].tolist()
+                 for k, (port_name, _slot) in enumerate(output_spec)},
+                modes)
+            columns[index] = None  # the trace holds copies
             outcomes.append(LaneOutcome(
                 name, trace=trace,
                 mode_paths=histories[index] if histories is not None
                 else None))
         return outcomes
 
+    # -- per-lane bookkeeping ------------------------------------------------
+
+    @staticmethod
+    def _observe(observers: List[Any], lanes: np.ndarray,
+                 next_states: List[List[Any]], next_buffers: np.ndarray,
+                 objects: ObjectTable) -> None:
+        """Append the active modes after the tick of each lane of the mask
+        *lanes*."""
+        lane_buffers = decode_rows(next_buffers[:, 0], next_buffers[:, 1],
+                                   objects).T.tolist()
+        for index in np.flatnonzero(lanes).tolist():
+            observers[index]([row[index] for row in next_states],
+                             lane_buffers[index])
+
+    def _check_outputs(self, tick: int, lanes: np.ndarray,
+                       outputs: np.ndarray, objects: ObjectTable,
+                       live: np.ndarray, errors: List[Optional[str]],
+                       exceptions: List[Optional[BaseException]]) -> None:
+        """Type-check the outputs of *tick* (an ``(output, 2, lane)``
+        plane) of each lane of the mask *lanes*; a lane that fails leaves
+        the sweep."""
+        component = self.component
+        for index in np.flatnonzero(lanes).tolist():
+            lane_outputs = LaneView(outputs, index, objects)
+            try:
+                for k, (name, _slot) in enumerate(self.flat.output_spec):
+                    value = lane_outputs[k]
+                    if component.has_port(name) and not is_absent(value):
+                        check_value(value, component.port(name).port_type,
+                                    context=f"{component.name}.{name}@t{tick}")
+            except Exception as exc:  # noqa: BLE001
+                errors[index], exceptions[index] = _capture(exc)
+                live[index] = False
+
     # -- the scalar fallback tick -------------------------------------------
 
     def _scalar_tick(self, tick: int, indices: List[int], frame: LaneFrame,
-                     in_rows: Dict[str, np.ndarray],
-                     out_rows: Dict[str, np.ndarray],
+                     columns: List[Optional[List[List[Any]]]],
                      input_names: Sequence[str],
-                     output_spec: Tuple[Tuple[str, int], ...], live: np.ndarray,
-                     errors: List[Optional[str]],
-                     exceptions: List[Optional[BaseException]]) -> None:
-        """Re-run one tick per active lane through the scalar flat step.
+                     output_spec: Tuple[Tuple[str, int], ...],
+                     live: np.ndarray, errors: List[Optional[str]],
+                     exceptions: List[Optional[BaseException]]
+                     ) -> np.ndarray:
+        """Re-run one tick per active lane through the scalar flat step;
+        returns the tick's ``(output, 2, lane)`` plane.
 
         Runs from the tick-start state (the frame's ``prev_*`` planes are
         never touched by the aborted vectorized attempt), so each lane
@@ -601,32 +800,36 @@ class BatchSchedule:
         without disturbing their neighbours.
         """
         step = self.flat.step
-        states, buffers = frame.prev_states, frame.prev_buffers
-        next_states, next_buffers = frame.next_states, frame.next_buffers
-        n_leaves, n_buffers = len(states), len(buffers)
+        objects = frame.objects
+        states, next_states = frame.prev_states, frame.next_states
+        plane = np.zeros((len(output_spec), 2, len(live)))
+        plane[:, 0] = TAG_ABSENT
         for lane in indices:
-            inputs = {name: in_rows[name][tick, lane] for name in input_names}
+            inputs = {name: column[tick]
+                      for name, column in zip(input_names, columns[lane])}
             lane_state = FlatState(
-                [states[leaf][lane] for leaf in range(n_leaves)],
-                [buffers[buffer_index, lane]
-                 for buffer_index in range(n_buffers)])
+                [row[lane] for row in states],
+                LaneView(frame.prev_buffers, lane, objects).tolist())
             try:
                 outputs, new_state = step(inputs, lane_state, tick)
             except Exception as exc:  # noqa: BLE001 - per-lane isolation
                 errors[lane], exceptions[lane] = _capture(exc)
                 live[lane] = False
                 continue
-            for leaf in range(n_leaves):
-                next_states[leaf][lane] = new_state.leaf_states[leaf]
-            for buffer_index in range(n_buffers):
-                next_buffers[buffer_index, lane] = \
-                    new_state.buffers[buffer_index]
-            for name, _slot in output_spec:
-                out_rows[name][tick, lane] = outputs[name]
+            for row, state in zip(next_states, new_state.leaf_states):
+                row[lane] = state
+            lane_buffers = LaneView(frame.next_buffers, lane, objects)
+            for buffer_index, value in enumerate(new_state.buffers):
+                lane_buffers[buffer_index] = value
+            lane_outputs = LaneView(plane, lane, objects)
+            for k, (name, _slot) in enumerate(output_spec):
+                lane_outputs[k] = outputs[name]
+        return plane
 
     def __repr__(self) -> str:
         return (f"BatchSchedule({self.component.name!r}, "
-                f"ops={len(self._program)}, slots={self.flat.n_slots})")
+                f"ops={len(self._program)}, slots={self.flat.n_slots}, "
+                f"vectorized={len(self.vectorized_ops)})")
 
 
 def compile_batch(component: Any) -> BatchSchedule:

@@ -23,7 +23,7 @@ cluster of rate ``every(n, true)`` only exchanges messages every *n*-th tick.
 from __future__ import annotations
 
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Union)
+                    Tuple, Union)
 
 from ..core.clocks import Clock
 from ..core.components import Component, register_transparent_wrapper
@@ -36,6 +36,32 @@ from .trace import SimulationTrace
 StimulusSpec = Union[Stream, Sequence[Any], Callable[[int], Any], int, float, bool, str]
 
 
+class _Column:
+    """A materialized feed: ``tick -> value`` over an explicit value list,
+    absent beyond its end.  :func:`draw_stimuli` slices the list whole."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: List[Any]):
+        self.values = values
+
+    def __call__(self, tick: int) -> Any:
+        values = self.values
+        return values[tick] if 0 <= tick < len(values) else ABSENT
+
+
+class _Constant:
+    """A scalar feed: the same value at every tick."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = value
+
+    def __call__(self, tick: int) -> Any:
+        return self.value
+
+
 def normalize_stimulus(spec: StimulusSpec, ticks: int) -> Callable[[int], Any]:
     """Turn any accepted stimulus specification into a ``tick -> value`` map.
 
@@ -45,19 +71,15 @@ def normalize_stimulus(spec: StimulusSpec, ticks: int) -> Callable[[int], Any]:
     the exact same per-tick values for the same generator.
     """
     if isinstance(spec, Stream):
-        values = spec.values()
-        return lambda tick: values[tick] if 0 <= tick < len(values) else ABSENT
+        return _Column(spec.values())
     materialize = getattr(spec, "materialize", None)
     if materialize is not None and not isinstance(spec, (list, tuple)):
-        values = list(materialize(ticks))
-        return lambda tick: values[tick] if 0 <= tick < len(values) else ABSENT
+        return _Column(list(materialize(ticks)))
     if callable(spec):
         return spec  # type: ignore[return-value]
     if isinstance(spec, (list, tuple)):
-        values = list(spec)
-        return lambda tick: values[tick] if 0 <= tick < len(values) else ABSENT
-    # scalar constant
-    return lambda tick: spec
+        return _Column(list(spec))
+    return _Constant(spec)
 
 
 def prepare_feeds(component: Component,
@@ -92,31 +114,63 @@ def prepare_feeds(component: Component,
     return tuple((name, generators.get(name)) for name in input_names)
 
 
-def _absent(tick: int) -> Any:
-    """The feed of an input port without stimulus."""
-    return ABSENT
-
-
 def draw_stimuli(
         feeds: "tuple[tuple[str, Optional[Callable[[int], Any]]], ...]",
-        ticks: int) -> "tuple[List[Any], int, Optional[Exception]]":
+        ticks: int,
+        check: Optional[Callable[[int, int, Any], None]] = None
+        ) -> "tuple[List[List[Any]], int, Optional[Exception]]":
     """Draw *feeds* (from :func:`prepare_feeds`) over a whole horizon.
 
-    The values are drawn tick-major and port-inner -- the draw order of
-    :func:`run_stepped` -- into one flat list: port ``i`` at tick ``t`` is
-    entry ``t * len(feeds) + i``.  Returns ``(values, horizon, failure)``:
-    when a draw raises at tick *k*, drawing stops there with ``horizon ==
-    k`` and the exception as *failure*; the whole-horizon drivers hold it
-    until ticks ``0 .. k-1`` have run, so an earlier step error still wins.
+    Returns ``(columns, horizon, failure)``: one value list per feed, in
+    feed order.  Materialized feeds (streams, sequences, generators) and
+    constants are sliced into their column whole; only the remaining
+    callables are drawn tick by tick, tick-major in feed order among
+    themselves -- the draw order of :func:`run_stepped`.  When a draw
+    raises at tick *k*, drawing stops there: every column is cut to
+    ``horizon == k`` and the exception is *failure*; the whole-horizon
+    drivers hold it until ticks ``0 .. k-1`` have run, so an earlier step
+    error still wins.
+
+    With *check* -- ``(feed index, tick, value) -> None``, raising to
+    reject a value -- every value is checked right after it is drawn, in
+    :func:`run_stepped`'s tick-major, port-inner order, and a rejection
+    ends the horizon exactly like a failing draw.
     """
-    draws = [generator or _absent for _name, generator in feeds]
-    drawn: List[Any] = []
+    columns: List[List[Any]] = []
+    drawn: List[Tuple[int, Callable[[int], Any]]] = []
+    for index, (_name, feed) in enumerate(feeds):
+        kind = type(feed)
+        if feed is None:
+            columns.append([ABSENT] * ticks)
+        elif kind is _Column:
+            column = feed.values[:ticks]
+            column += [ABSENT] * (ticks - len(column))
+            columns.append(column)
+        elif kind is _Constant:
+            columns.append([feed.value] * ticks)
+        else:
+            columns.append([])
+            drawn.append((index, feed))
+    if check is None:
+        draws = [(columns[index].append, feed) for index, feed in drawn]
+        for tick in range(ticks):
+            try:
+                for append, draw in draws:
+                    append(draw(tick))
+            except Exception as exc:  # noqa: BLE001 - held: see docstring
+                return [column[:tick] for column in columns], tick, exc
+        return columns, ticks, None
+    feed_of = dict(drawn)
     for tick in range(ticks):
         try:
-            drawn += [draw(tick) for draw in draws]
+            for index, column in enumerate(columns):
+                draw = feed_of.get(index)
+                if draw is not None:
+                    column.append(draw(tick))
+                check(index, tick, column[tick])
         except Exception as exc:  # noqa: BLE001 - held: see docstring
-            return drawn, tick, exc
-    return drawn, ticks, None
+            return [column[:tick] for column in columns], tick, exc
+    return columns, ticks, None
 
 
 def run_stepped(component: Component,

@@ -40,14 +40,15 @@ Lowering decisions per op:
   ``jump`` -- always native (tag-triple moves, a table jump, a C
   ``switch`` on the committed mode index and a ``goto``);
 * ``expr`` -- native when :class:`~repro.ascet.c_expr.TaggedEmitter`
-  lowers every item expression (it raises
-  :class:`~repro.core.errors.CodeGenError` otherwise) *and* the lint
+  lowers every item expression (:func:`~repro.ascet.c_expr.lowers`
+  decides it from the AST, :func:`expr_op_lowers` for the op) *and* the lint
   interval×kind lattice proves no enum/struct value flows through it
   (:func:`repro.analysis.lint.expr_check.check_expression`); the emitted
   block still guards every arithmetic step (overflow, int-exactness,
   opaque operands, error paths) and bails to the trampoline whenever
   exact Python semantics cannot be replicated in int64/double;
-* ``mode`` -- native under the same two conditions for every guard: a C
+* ``mode`` -- native under the same two conditions for every guard
+  (:func:`mode_op_lowers`): a C
   ``switch`` on the tick-start mode evaluates the current mode's guards
   lazily in priority order and commits the next mode index; the mode
   port's name is a constant entry at the head of the object table
@@ -69,8 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...ascet.c_expr import TAGGED_VALUE, TaggedEmitter
-from ...core.errors import CodeGenError
+from ...ascet.c_expr import TAGGED_VALUE, TaggedEmitter, lowers
 from ..schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
                            OP_EXPR, OP_GATE, OP_JUMP, OP_MODE, OP_RUN,
                            OP_SWITCH, FlatSchedule)
@@ -210,32 +210,70 @@ def _native_block(index: int, body: List[str]) -> List[str]:
     return lines
 
 
+def expr_op_lowers(op: Tuple[Any, ...], leaf: Any) -> bool:
+    """True when the ``expr`` op *op* of *leaf* is emitted as C, not as a
+    trampoline call: every item expression lowers
+    (:func:`~repro.ascet.c_expr.lowers`) and the lattice proves no
+    enum/struct value flows into a slot (an opaque value would bail every
+    tick).  Decided without emitting C; the batch backend vectorizes
+    exactly these ops (:mod:`repro.simulation.batch_ir`)."""
+    component = leaf.component
+    expressions = list(component.output_expressions.values())
+    names = {name for name, _slot in op[2]}
+    functions = component._evaluator.functions  # noqa: SLF001
+    if len(expressions) != len(op[3]) or not all(
+            lowers(expression, names, functions)
+            for expression in expressions):
+        return False
+    kinds = _lattice_kinds(component, expressions)
+    return kinds is not None and not any(kind & _OPAQUE for kind in kinds)
+
+
+def _mode_guards(op: Tuple[Any, ...], machine: Any
+                 ) -> List[List[Tuple[Any, int]]]:
+    """Per mode of the ``mode`` op *op*: its ``(guard AST, target)``
+    pairs in priority order."""
+    mtd = machine.component
+    return [[(transition.guard, target) for transition, (_closure, target)
+             in zip(mtd.transitions_from(name), guards)]
+            for name, guards in zip(op[6], op[3])]
+
+
+def mode_op_lowers(op: Tuple[Any, ...], machine: Any) -> bool:
+    """True when the ``mode`` op *op* of *machine* is emitted as C: every
+    guard lowers and none is proved opaque by the lattice (only a guard's
+    truth value is used, and an opaque one bails).  The batch backend
+    vectorizes exactly these ops."""
+    mtd = machine.component
+    guards = [guard for pairs in _mode_guards(op, machine)
+              for guard, _target in pairs]
+    names = {name for name, _slot in op[2]}
+    functions = mtd._evaluator.functions  # noqa: SLF001
+    if not all(lowers(guard, names, functions) for guard in guards):
+        return False
+    kinds = _lattice_kinds(mtd, guards)
+    return kinds is not None and not any(kind and kind <= _OPAQUE
+                                         for kind in kinds)
+
+
 def _expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
                 helpers: Dict[Any, Tuple[str, str]]) -> Optional[List[str]]:
     """The C body of one ``expr`` op, or None when the op stays on the
     trampoline."""
-    component = leaf.component
-    expressions = list(component.output_expressions.values())
-    items = op[3]
-    if len(expressions) != len(items):
+    if not expr_op_lowers(op, leaf):
         return None
+    component = leaf.component
     lines: List[str] = []
     inputs = _load_inputs(op[2], lines)
     emitter = TaggedEmitter(inputs, bail_label=f"L{index}_py",
                             functions=component._evaluator.functions,  # noqa: SLF001
                             helpers=helpers)
-    try:
-        results = [emitter.emit(expression) for expression in expressions]
-    except CodeGenError:
-        return None
-    kinds = _lattice_kinds(component, expressions)
-    # an enum/struct value the lattice lets flow into a slot would bail
-    if kinds is None or any(kind & _OPAQUE for kind in kinds):
-        return None
+    results = [emitter.emit(expression)
+               for expression in component.output_expressions.values()]
     helpers.update(emitter.helpers)
     lines.extend(emitter.decls)
     lines.extend(emitter.lines)
-    for (slot, _closure), prefix in zip(items, results):
+    for (slot, _closure), prefix in zip(op[3], results):
         if slot >= 0:
             lines.append(f"tag[{slot}] = {prefix}.t; iv[{slot}] = "
                          f"{prefix}.i; fv[{slot}] = {prefix}.f;")
@@ -249,38 +287,28 @@ def _mode_block(index: int, op: Tuple[Any, ...], machine: Any, base: int,
                 helpers: Dict[Any, Tuple[str, str]]) -> Optional[List[str]]:
     """The C body of one ``mode`` op, or None when the op stays on the
     trampoline.  Mode names sit at object-table index *base* on."""
-    _, _machine, in_spec, table, buf, mode_slot, names = op
-    mtd = machine.component
+    if not mode_op_lowers(op, machine):
+        return None
+    buf, mode_slot = op[4], op[5]
     lines: List[str] = []
-    inputs = _load_inputs(in_spec, lines)
+    inputs = _load_inputs(op[2], lines)
     bail = f"L{index}_py"
     emitter = TaggedEmitter(inputs, bail_label=bail,
-                            functions=mtd._evaluator.functions,  # noqa: SLF001
+                            functions=machine.component._evaluator.functions,  # noqa: SLF001
                             helpers=helpers)
     cases: List[str] = []
-    guards = []
-    try:
-        for mode, name in enumerate(names):
-            cases.append(f"case {mode}:")
-            for transition, (_closure, target) in zip(
-                    mtd.transitions_from(name), table[mode]):
-                guards.append(transition.guard)
-                # guards are evaluated lazily: each one only when every
-                # higher-priority guard was absent or false
-                g, block = emitter.emit_block(transition.guard)
-                cases.extend(f"    {line}" for line in block)
-                cases.append(f"    if ({g}.t == 4) goto {bail};")
-                cases.append(f"    if ({g}.t != 0 && "
-                             f"{TaggedEmitter.truthy(g)}) "
-                             f"{{ m = {target}; break; }}")
-            cases.append("    break;")
-    except CodeGenError:
-        return None
-    kinds = _lattice_kinds(mtd, guards)
-    # only a guard's truth value is used (an opaque one bails): route the
-    # op statically only when some guard can never be a native value
-    if kinds is None or any(kind and kind <= _OPAQUE for kind in kinds):
-        return None
+    for mode, pairs in enumerate(_mode_guards(op, machine)):
+        cases.append(f"case {mode}:")
+        for guard, target in pairs:
+            # guards are evaluated lazily: each one only when every
+            # higher-priority guard was absent or false
+            g, block = emitter.emit_block(guard)
+            cases.extend(f"    {line}" for line in block)
+            cases.append(f"    if ({g}.t == 4) goto {bail};")
+            cases.append(f"    if ({g}.t != 0 && "
+                         f"{TaggedEmitter.truthy(g)}) "
+                         f"{{ m = {target}; break; }}")
+        cases.append("    break;")
     helpers.update(emitter.helpers)
     lines.extend(emitter.decls)
     lines.append(f"long long m = pbi[{buf}];")

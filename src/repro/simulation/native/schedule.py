@@ -15,8 +15,10 @@ dict states converted on entry -- so it is a drop-in fifth backend for
 horizon whenever it would drive the schedule's own step unchecked.
 
 **The horizon protocol.**  Python prepares the columns of a run: the
-stimuli are drawn tick-major and port-inner (the draw order of
-``run_stepped``) and packed into tagged input columns, one row per tick;
+stimuli are drawn into per-port columns
+(:func:`~repro.simulation.engine.draw_stimuli`, callables in the draw
+order of ``run_stepped``) and packed into a tagged input plane, one row
+per tick;
 gate predicates, functions of the tick only, are pre-evaluated into a
 tick × gate byte matrix; the initial delayed buffers are stored into the
 ``pb*`` planes.  ONE foreign call then runs every tick: the C function
@@ -67,6 +69,7 @@ observability degrades gracefully to spans and counters.
 from __future__ import annotations
 
 import ctypes
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ...core.values import ABSENT
@@ -368,8 +371,8 @@ class NativeSchedule:
 
         The trace -- and every error: exception type, message and tick --
         equals :func:`~repro.simulation.engine.run_stepped` over
-        :attr:`step` without type checks.  The stimuli are drawn in that
-        loop's order (tick-major, port-inner); a draw that raises at tick
+        :attr:`step` without type checks.  Callable stimuli are drawn in
+        that loop's order (tick-major, port-inner); a draw that raises at tick
         *k* is held until ticks ``0 .. k-1`` have run, so an earlier step
         error still wins.
         """
@@ -377,8 +380,7 @@ class NativeSchedule:
         component = self.component
         feeds = prepare_feeds(component, stimuli, ticks)
         input_names = [name for name, _generator in feeds]
-        n_in = len(feeds)
-        drawn, horizon, failure = draw_stimuli(feeds, ticks)
+        columns, horizon, failure = draw_stimuli(feeds, ticks)
 
         objtable = self._objtable
         del objtable[len(self.lowered.constants):]
@@ -387,8 +389,8 @@ class NativeSchedule:
         outputs = _TaggedPlane(horizon * n_out, objtable)
         modes = (ctypes.c_longlong * horizon)()
         if horizon:
-            columns = _TaggedPlane(horizon * n_in, objtable)
-            columns.store(drawn)
+            rows = _TaggedPlane(horizon * len(feeds), objtable)
+            rows.store(list(chain.from_iterable(zip(*columns))))
             gates = self._gates
             gate_rows = (ctypes.c_ubyte * (horizon * len(gates))) \
                 .from_buffer_copy(bytes([
@@ -397,14 +399,14 @@ class NativeSchedule:
             state = flat.initial_state()
             self._prev_buffers.store(state.buffers)
             planes = self._planes()
-            planes.point("in", columns)
+            planes.point("in", rows)
             planes.gate = ctypes.cast(gate_rows, _BYTES)
             planes.point("out", outputs)
             planes.modes = ctypes.cast(modes, _INT64S)
 
             def inputs_at(tick: int) -> Dict[str, Any]:
-                return dict(zip(input_names,
-                                drawn[tick * n_in:(tick + 1) * n_in]))
+                return {name: column[tick]
+                        for name, column in zip(input_names, columns)}
 
             self._call = (planes, 0, state.leaf_states, inputs_at)
             self._frame = None
@@ -419,8 +421,7 @@ class NativeSchedule:
             else None
         return SimulationTrace.from_columns(
             component.name, ticks,
-            {name: drawn[index::n_in]
-             for index, name in enumerate(input_names)},
+            dict(zip(input_names, columns)),
             {name: values[index::n_out]
              for index, (name, _slot) in enumerate(self.output_spec)},
             [names[mode] for mode in memoryview(modes).cast("B").cast("q")]

@@ -151,8 +151,9 @@ class Frame:
 # One factory per opcode turns an op tuple into a closure over the slot
 # environment.  The value model is whatever ``values`` indexes into: a list
 # of Python values here, the native backend's tagged plane on the
-# trampoline, and -- for copy / buf_read / buf_write / gate, which only
-# move whole entries -- the batch backend's ``(slot, lane)`` NumPy rows.
+# trampoline, one lane of the batch backend's tagged plane on its per-lane
+# paths, and -- for copy / buf_read / buf_write / gate, which only move
+# whole entries -- the batch plane's ``(2, lanes)`` slot blocks.
 
 
 def _run_kernel(op: Tuple[Any, ...]) -> Kernel:
@@ -400,8 +401,9 @@ def profiled_kernels(program: Sequence[Tuple[Any, ...]],
             modes = frame.next_buffers[buf]
             if type(modes) is int:
                 entries[names[modes]] += 1
-            else:  # one lane row: every active lane enters its region
-                for mode in modes[frame.active].tolist():
+            else:  # a tagged lane block: every active lane enters its
+                # region, its mode index the payload row
+                for mode in modes[1][frame.active].astype(int).tolist():
                     entries[names[mode]] += 1
             return jump
         return op
@@ -1084,10 +1086,10 @@ class FlatSchedule:
         The trace -- and every error: exception type, message and tick --
         equals :func:`~repro.simulation.engine.run_stepped` over
         :attr:`step` without type checks, but no per-tick input or output
-        dict is built: the stimuli are drawn once
+        dict is built: the stimuli are drawn once into per-port columns
         (:func:`~repro.simulation.engine.draw_stimuli`; a draw that raises
         at tick *k* is held until ticks ``0 .. k-1`` have run), each tick
-        scatters its row into the slots, runs the kernels and appends the
+        scatters its column entries into the slots, runs the kernels and appends the
         output slots to per-port columns, and the trace is built from the
         columns.
 
@@ -1098,10 +1100,10 @@ class FlatSchedule:
         """
         feeds = prepare_feeds(self.component, stimuli, ticks)
         drawn, horizon, failure = draw_stimuli(feeds, ticks)
-        n_in = len(feeds)
-        position = {name: index for index, (name, _feed) in enumerate(feeds)}
-        inputs = tuple((position[name], slot) for name, slot
-                       in self.input_spec if name in position)
+        column_of = {name: column
+                     for (name, _feed), column in zip(feeds, drawn)}
+        inputs = tuple((column_of[name], slot) for name, slot
+                       in self.input_spec if name in column_of)
         columns: List[List[Any]] = [[] for _spec in self.output_spec]
         outputs = tuple((column.append, slot) for column, (_name, slot)
                         in zip(columns, self.output_spec))
@@ -1121,9 +1123,8 @@ class FlatSchedule:
         states, buffers = state.leaf_states, state.buffers
         for tick in range(horizon):
             values = [absent] * n_slots
-            row = tick * n_in
-            for index, slot in inputs:
-                values[slot] = drawn[row + index]
+            for column, slot in inputs:
+                values[slot] = column[tick]
             next_states = states[:] if writes_states else states
             next_buffers = buffers[:]
             run_kernels(kernels, values,
@@ -1139,9 +1140,7 @@ class FlatSchedule:
         if failure is not None:
             raise failure
         return SimulationTrace.from_columns(
-            self.component.name, ticks,
-            {name: drawn[index::n_in]
-             for index, (name, _feed) in enumerate(feeds)},
+            self.component.name, ticks, column_of,
             {name: column
              for (name, _slot), column in zip(self.output_spec, columns)},
             modes)

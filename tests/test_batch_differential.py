@@ -22,6 +22,7 @@ historically flushed out are pinned individually in ``test_batch_ir.py``.
 """
 
 import contextlib
+import math
 import random
 
 import pytest
@@ -165,6 +166,28 @@ def _stimulus(rng, ticks):
         else:
             values.append(rng.randint(-6, 6))
     return Stream(values)
+
+
+#: Values at the edges of the batch backend's tagged lanes: around the
+#: 2**53 limit of exact ints, signed zero, NaN, infinities, bools, an
+#: opaque string and ABSENT.
+_EDGE_VALUES = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1, -0.0,
+                math.nan, math.inf, -math.inf, True, False, "x", ABSENT]
+
+
+def _edge_battery(rng, model, size):
+    """Lanes mixing :data:`_EDGE_VALUES` into small ints and floats: in
+    one tick some lanes compute as tagged lanes, some fall back per lane
+    (opaque or inexact values) and some raise (the tick replays)."""
+    items = []
+    for index in range(size):
+        ticks = rng.randint(2, 7)
+        stimuli = {port: Stream([
+            rng.choice(_EDGE_VALUES) if rng.random() < 0.4
+            else rng.choice([rng.randint(-3, 3), rng.uniform(-3.0, 3.0)])
+            for _ in range(ticks)]) for port in model.input_names()}
+        items.append((f"edge{index}", stimuli, ticks))
+    return items
 
 
 def _battery(rng, model, size):
@@ -740,13 +763,14 @@ def _build_root_model(rng, index):
 @pytest.mark.parametrize("seed", range(10))
 def test_backends_agree_on_random_roots(seed):
     """MTD roots (expression, composite, STD and empty modes), gated MTD
-    and STD roots and composites with a correction-barrier entry: flat,
-    batch and native match the interpreter -- trace bytes with
-    ``mode_history``, exception type, message and tick, and the
-    ``collect_modes`` histories."""
+    and STD roots and composites with a correction-barrier entry, on
+    batteries with edge-value lanes: flat, batch and native match the
+    interpreter -- trace bytes with ``mode_history``, exception type,
+    message and tick, and the ``collect_modes`` histories."""
     rng = random.Random(6600 + seed)
     model = _build_root_model(rng, seed)
-    battery = _battery(rng, model, size=rng.randint(3, 8))
+    battery = _battery(rng, model, size=rng.randint(3, 8)) \
+        + _edge_battery(rng, model, size=4)
     interpreter = Simulator(model)
     backends = ["flat", "batch"] + (["native"] if _HAS_NATIVE else [])
     simulators = {backend: CompiledSimulator(model, backend=backend)

@@ -483,3 +483,113 @@ def test_stateful_leaf_states_stay_per_lane():
     outcomes = compile_batch(model).run_battery(items)
     for (name, stimuli, ticks), outcome in zip(items, outcomes):
         assert_trace_identical(reference.run(stimuli, ticks), outcome.trace)
+
+
+# -- tagged lanes ----------------------------------------------------------------
+
+
+def product():
+    dfd = DataFlowDiagram("Product")
+    dfd.add_input("a")
+    dfd.add_input("b")
+    dfd.add_output("p")
+    times = ExpressionComponent("Times", {"out": "a * b"})
+    times.declare_interface_from_expressions()
+    dfd.add_subcomponent(times)
+    dfd.connect("a", "Times.a")
+    dfd.connect("b", "Times.b")
+    dfd.connect("Times.out", "p")
+    return dfd
+
+
+def test_tagged_lanes_fallbacks_and_a_replay_share_one_tick():
+    """At tick 0 one lane computes as a tagged lane, two fall back per
+    lane (a product past 2**53, an opaque ``'x' * 2``) and one raises,
+    so the tick replays: every lane still matches the flat engine, and
+    the per-lane fallbacks are counted next to the replayed ticks."""
+    from repro import obs
+    model = product()
+    items = [("tagged", {"a": [1.5, 2.0], "b": [2, 3]}, 2),
+             ("big", {"a": [2 ** 40, 1], "b": [2 ** 20, 1]}, 2),
+             ("opaque", {"a": ["x", 2], "b": [2, 2]}, 2),
+             ("raises", {"a": ["x", 1], "b": [1.5, 1]}, 2)]
+    schedule = compile_batch(model)
+    assert schedule.vectorized_ops
+    scalar = CompiledSimulator(model, backend="flat")
+    with obs.session(profile_ops=True) as telemetry:
+        outcomes = schedule.run_battery(items)
+    for (name, stimuli, ticks), outcome in zip(items, outcomes):
+        try:
+            expected = scalar.run(stimuli, ticks)
+        except ExpressionEvalError as exc:
+            assert str(outcome.exception) == str(exc), name
+            continue
+        assert_trace_identical(expected, outcome.trace)
+    assert outcomes[1].trace.outputs["p"].values()[0] == 2 ** 60
+    assert outcomes[2].trace.outputs["p"].values()[0] == "xx"
+    counters = telemetry.registry.counter_values("batch.")
+    assert counters["batch.lane_fallbacks"] == 3
+    assert counters["batch.scalar_fallback_ticks"] == 4
+    (profile,) = telemetry.named_profiles().values()
+    assert profile.lane_fallbacks == 3
+    assert profile.scalar_fallback_ticks == 4
+
+
+def test_fda_runs_every_lowered_op_as_tagged_lanes():
+    """Batch vectorizes exactly the ops native lowers to C; on a random
+    walk battery the Sec.-5 FDA runs with no lane falling back and no
+    tick replayed, and matches the flat engine."""
+    from repro import obs
+    from repro.casestudy import build_reengineered_fda
+    from repro.scenarios import RandomWalk
+    from repro.simulation.native import EMITTER_VERSION, lower_program
+    model = build_reengineered_fda()
+    schedule = compile_batch(model)
+    lowered = lower_program(schedule.flat, EMITTER_VERSION)
+    assert schedule.vectorized_ops == lowered.lowered_ops
+    assert not lowered.fallback_ops
+    ranges = {"n": (0.0, 6500.0), "ped": (0.0, 100.0),
+              "t_eng": (-20.0, 120.0), "pos": (0.0, 90.0),
+              "pos_des": (0.0, 90.0), "throttle_angle": (0.0, 90.0)}
+    items = [(f"walk{index}",
+              {port: RandomWalk(index * 10 + offset, start=(low + high) / 2,
+                                step=(high - low) / 8, low=low, high=high)
+               for offset, (port, (low, high)) in enumerate(ranges.items())},
+              30) for index in range(24)]
+    with obs.session() as telemetry:
+        outcomes = schedule.run_battery(items, collect_modes=True)
+    counters = telemetry.registry.counter_values("batch.")
+    assert counters["batch.lane_fallbacks"] == 0
+    assert "batch.scalar_fallback_ticks" not in counters
+    scalar = CompiledSimulator(model, backend="flat")
+    for (name, stimuli, ticks), outcome in zip(items, outcomes):
+        assert_trace_identical(scalar.run(stimuli, ticks), outcome.trace)
+
+
+def test_int_zero_results_add_like_python_zero():
+    """An int result of ``0`` reached through ``-0.0`` in double
+    arithmetic (``0 * -1``, ``-0``, ``0 / -3``, ``3 % -3``) must add to
+    ``-0.0`` like Python's int ``0``: ``0.0``, not ``-0.0``."""
+    dfd = DataFlowDiagram("Zeros")
+    for port in ("a", "b", "c"):
+        dfd.add_input(port)
+    sources = {"mul": "a * b + c", "neg": "-a + c", "div": "a / b + c",
+               "mod": "(a + 3) % b + c"}
+    for name, source in sources.items():
+        block = ExpressionComponent(name.capitalize(), {"out": source})
+        block.declare_interface_from_expressions()
+        dfd.add_subcomponent(block)
+        dfd.add_output(name)
+        for port in block.input_names():
+            dfd.connect(port, f"{block.name}.{port}")
+        dfd.connect(f"{block.name}.out", name)
+    items = [("zeros", {"a": [0, 0], "b": [-1, -3], "c": [-0.0, -0.0]}, 2)]
+    scalar, outcomes = batteries(dfd, items)
+    expected = scalar.run(*items[0][1:])
+    assert len(compile_batch(dfd).vectorized_ops) == len(sources)
+    for name in sources:
+        # repr tells 0.0 from -0.0, which == does not
+        assert [repr(value) for value in
+                outcomes[0].trace.outputs[name].values()] \
+            == [repr(value) for value in expected.outputs[name].values()] \
+            == ["0.0", "0.0"], name

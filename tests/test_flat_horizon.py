@@ -453,10 +453,65 @@ def test_draw_stimuli_is_tick_major_and_holds_the_failure():
     model = _gated_divider()
     feeds = prepare_feeds(model, {"a": [1, 2, 3], "b": _raising_at(2, [7, 8])},
                           4)
-    drawn, horizon, failure = draw_stimuli(feeds, 4)
-    assert drawn == [1, 7, 2, 8] and horizon == 2
+    columns, horizon, failure = draw_stimuli(feeds, 4)
+    # a failure at tick k cuts every column at k
+    assert columns == [[1, 2], [7, 8]] and horizon == 2
     assert isinstance(failure, ValueError)
-    drawn, horizon, failure = draw_stimuli(prepare_feeds(model, {"b": [5]},
-                                                         2), 2)
-    assert drawn == [ABSENT, 5, ABSENT, ABSENT] and horizon == 2
+    columns, horizon, failure = draw_stimuli(prepare_feeds(model, {"b": [5]},
+                                                           2), 2)
+    assert columns == [[ABSENT, ABSENT], [5, ABSENT]] and horizon == 2
     assert failure is None
+
+    # materialized feeds and constants are sliced whole; only callables
+    # are drawn per tick, tick-major among themselves
+    calls = []
+
+    def logged(port, fail_at=None):
+        def stimulus(tick):
+            calls.append((port, tick))
+            if tick == fail_at:
+                raise RuntimeError(f"{port} failed at {tick}")
+            return tick
+        return stimulus
+
+    class Walk:
+        def materialize(self, ticks):
+            calls.append(("walk", ticks))
+            return [0.5] * (ticks + 2)
+
+    wide = DataFlowDiagram("Wide")
+    for port in "abcd":
+        wide.add_input(port)
+    feeds = prepare_feeds(wide, {"a": logged("a"), "b": Walk(), "c": 7,
+                                 "d": logged("d")}, 3)
+    assert calls == [("walk", 3)]
+    columns, horizon, failure = draw_stimuli(feeds, 3)
+    assert columns == [[0, 1, 2], [0.5] * 3, [7] * 3, [0, 1, 2]]
+    assert horizon == 3 and failure is None
+    assert calls[1:] == [("a", 0), ("d", 0), ("a", 1), ("d", 1), ("a", 2),
+                         ("d", 2)]
+    del calls[:]
+    feeds = prepare_feeds(wide, {"a": logged("a"), "b": Stream([1, 2]),
+                                 "d": logged("d", fail_at=1)}, 4)
+    columns, horizon, failure = draw_stimuli(feeds, 4)
+    assert columns == [[0], [1], [ABSENT], [0]] and horizon == 1
+    assert str(failure) == "d failed at 1"
+    assert calls == [("a", 0), ("d", 0), ("a", 1), ("d", 1)]
+
+    # a check runs in run_stepped's order: a rejection at (t, p) beats a
+    # draw failure later in that order, and ends the horizon the same way
+    def reject(value):
+        def check(index, tick, drawn):
+            if drawn == value:
+                raise TypeError(f"port {index} rejects {drawn!r} at {tick}")
+        return check
+
+    feeds = prepare_feeds(wide, {"a": [1, 2, 3], "d": _raising_at(1, [5])},
+                          3)
+    columns, horizon, failure = draw_stimuli(feeds, 3, reject(2))
+    assert horizon == 1 and columns == [[1], [ABSENT], [ABSENT], [5]]
+    assert str(failure) == "port 0 rejects 2 at 1"
+    columns, horizon, failure = draw_stimuli(feeds, 3, reject(3))
+    assert horizon == 1 and isinstance(failure, ValueError)
+    columns, horizon, failure = draw_stimuli(feeds, 3, reject(None))
+    assert horizon == 1 and isinstance(failure, ValueError)

@@ -8,11 +8,14 @@ and every backend must agree with the reference evaluator on the value
 
 * the closure compiler, on the generic node and, for binary rows, on both
   literal-operand specialisations;
-* one lane-masked batch row (the lane selected by the mask must compute
-  the reference value, or raise), and the batch backend, whose per-lane
-  scalar re-run reproduces the exact error;
+* one lane-masked row of tagged lanes (only the lane selected by the
+  mask evaluates: it computes the reference value and type, or is flagged
+  for the scalar path -- always when the reference raises, and only where
+  the tagged templates cannot be exact), and the batch backend, whose
+  per-lane scalar re-run reproduces the exact error;
 * the native C backend when the row has a tagged lowering and a compiler
-  exists; whether the emitter lowers the row is checked everywhere;
+  exists; whether the emitter lowers the row -- and that the batch backend
+  vectorizes exactly the ops native lowers -- is checked everywhere;
 * the lint, whose constant folding, kind and interval transfer must be
   sound for the row on numeric operands.
 
@@ -28,28 +31,26 @@ import numpy as np
 import pytest
 
 from repro.analysis.lint.expr_check import AbstractValue, check_expression
+from repro.ascet.c_expr import TaggedEmitter, lowers
+from repro.core.errors import CodeGenError
 from repro.core.components import ExpressionComponent
-from repro.core.expr_batch import compile_batch_expression
 from repro.core.expr_compile import compile_expression
 from repro.core.expr_eval import ExpressionEvaluator
-from repro.core.expressions import BinaryOp, Call, Literal, UnaryOp, Variable
+from repro.core.expressions import (BinaryOp, Call, Conditional, Literal,
+                                    Present, UnaryOp, Variable)
 from repro.core.ops import BINARY_OPERATORS, FUNCTIONS, UNARY_OPERATORS
 from repro.core.values import ABSENT, Stream
 from repro.notations.dfd import DataFlowDiagram
 from repro.simulation import compile_flat, compile_native, native_available
 from repro.simulation.batch_ir import compile_batch
+from repro.simulation.lanes import (ObjectTable, compile_lanes, decode_value,
+                                   encode_values)
 from repro.simulation.native import EMITTER_VERSION, lower_program
 
 GRID = [0, 1, -1, -2 ** 63, 2 ** 63 - 1, 2 ** 53 - 1, 2 ** 53 + 1,
         -0.0, 0.5, math.inf, -math.inf, True, False, ABSENT, "x"]
 
 NAMES = "abcde"
-
-# NaN results (inf - inf, 0 * inf) make NumPy's lane kernels warn about
-# the floating-point status flag; the values themselves are compared.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:invalid value encountered:RuntimeWarning")
-
 
 def _arity(row):
     """Operands a row takes: 1 or 2 for operators; required parameters
@@ -103,6 +104,21 @@ def outcome(thunk):
     return ("value", type(value).__name__, repr(value))
 
 
+def _exact(value):
+    """A value a tagged lane holds exactly (not an opaque object)."""
+    return value is ABSENT or type(value) in (float, bool) or (
+        type(value) is int and abs(value) < 2 ** 53)
+
+
+def _tagged_exact(row, operands, want):
+    """Whether the tagged templates must compute this case without a
+    bail: exact operands, an exact result, no float ``%``."""
+    if row.lowering[0] == "modulo" and float in map(type, operands):
+        return False
+    return all(map(_exact, operands)) and (
+        want[1] != "int" or abs(int(want[2])) < 2 ** 53)
+
+
 def _variables(arity):
     return [Variable(name) for name in NAMES[:arity]]
 
@@ -154,21 +170,33 @@ def test_row_agrees_on_every_backend(kind, row):
                     environment)) == outcome(lambda: evaluator.evaluate(
                         node, environment)), (row.symbol, operands, side)
 
-    # one lane-masked batch row: only the selected lane is evaluated
-    batch = compile_batch_expression(expression)
-    rows = {}
-    for position, name in enumerate(NAMES[:arity]):
-        lanes = np.empty(len(cases), dtype=object)
-        lanes[:] = [operands[position] for operands in cases]
-        rows[name] = lanes
-    for lane, want in enumerate(expected):
-        mask = np.zeros(len(cases), dtype=bool)
-        mask[lane] = True
-        got = outcome(lambda: batch(rows, mask)[lane])
-        if want[0] == "value":
+    # one lane-masked row of tagged lanes: only the selected lane is
+    # evaluated; it is exact or flagged for the scalar path
+    names = NAMES[:arity]
+    assert lowers(expression, names) == bool(row.lowering), row.symbol
+    if row.lowering:
+        lanes = compile_lanes(expression, names)
+        objects = ObjectTable()
+        environment = {}
+        for position, name in enumerate(names):
+            environment[name] = np.array(encode_values(
+                [operands[position] for operands in cases], objects))
+        for lane, want in enumerate(expected):
+            mask = np.zeros(len(cases), dtype=bool)
+            mask[lane] = True
+            with np.errstate(all="ignore"):
+                tags, payloads, bail = lanes(environment, mask)
+            flagged = np.zeros_like(mask) if bail is None \
+                else np.broadcast_to(bail, mask.shape)
+            assert not flagged[~mask].any(), (row.symbol, cases[lane])
+            if flagged[lane]:
+                assert want[0] == "error" or not _tagged_exact(
+                    row, cases[lane], want), (row.symbol, cases[lane])
+                continue
+            got = outcome(lambda: decode_value(
+                np.broadcast_to(tags, mask.shape)[lane],
+                np.broadcast_to(payloads, mask.shape)[lane], objects))
             assert got == want, (row.symbol, cases[lane])
-        else:
-            assert got[0] == "error", (row.symbol, cases[lane])
 
     # batch backend: per-lane scalar re-run gives the exact error
     model = _probe_model(expression, arity)
@@ -185,9 +213,12 @@ def test_row_agrees_on_every_backend(kind, row):
             got = ("value", type(value).__name__, repr(value))
         assert got == want, (row.symbol, lane_outcome.name)
 
-    # native: the emitter lowers exactly the rows with a tagged template
+    # native: the emitter lowers exactly the rows with a tagged template,
+    # and batch vectorizes exactly the ops native lowers
     lowered = lower_program(compile_flat(model), EMITTER_VERSION)
     assert bool(lowered.lowered_ops) == bool(row.lowering), row.symbol
+    assert compile_batch(model).vectorized_ops == lowered.lowered_ops, \
+        row.symbol
     if row.lowering and native_available():
         step = compile_native(model).step
         for operands, want in zip(cases, expected):
@@ -247,3 +278,42 @@ def test_divisor_rows_flag_zero_divisors(row):
             node, {"a": AbstractValue(kinds=frozenset({"num"}))}, "row")
         assert [(f.rule, f.severity.value) for f in findings] == \
             [("expr-div-by-zero", "error")], (row.symbol, zero)
+
+
+_A, _B, _C = Variable("a"), Variable("b"), Variable("c")
+
+#: Expressions at the edges of the tagged lowering: literal types and
+#: ranges, unbound names, unknown and arity-mismatched rows, rows without
+#: a template, custom and shadowed functions.
+LOWERING_CASES = [
+    Literal(1.5), Literal(True), Literal(2 ** 63 - 1), Literal(-2 ** 63),
+    Literal(2 ** 63), Literal("x"), Literal(ABSENT), _A, Variable("zz"),
+    Present("a"), Present("zz"), UnaryOp("-", _A), UnaryOp("~", _A),
+    UnaryOp("not", Literal("x")), BinaryOp("and", _A, Variable("zz")),
+    BinaryOp("**", _A, _B), BinaryOp("%", _A, Literal(2 ** 70)),
+    Call("abs", (_A,)), Call("abs", (_A, _B)), Call("min", (_A,)),
+    Call("limit", (_A, _B, _C)), Call("limit", (_A, _B)),
+    Call("sqrt", (_A,)), Call("custom", (_A,)),
+    Conditional(BinaryOp(">", _A, _B), _A, Literal(0)),
+    Conditional(_A, _B, Literal("x")),
+]
+
+
+@pytest.mark.parametrize("shadowed", [False, True])
+def test_lowering_predicate_matches_the_emitter(shadowed):
+    """``lowers`` decides from the AST exactly what ``TaggedEmitter``
+    lowers -- the rule by which batch vectorizes what native lowers."""
+    functions = {"custom": abs}
+    if shadowed:
+        functions["abs"] = lambda value: value
+    names = "abc"
+    for node in LOWERING_CASES:
+        emitter = TaggedEmitter({name: f"V[{index}]" for index, name
+                                 in enumerate(names)}, "bail", functions)
+        try:
+            emitter.emit(node)
+        except CodeGenError:
+            emitted = False
+        else:
+            emitted = True
+        assert lowers(node, names, functions) == emitted, node

@@ -60,6 +60,19 @@ def test_mode_sequence_segments_and_hold():
         ModeSequence([("A", 0)])
 
 
+@pytest.mark.parametrize("hold_last", [True, False])
+def test_mode_sequence_materialize_equals_sample(hold_last):
+    """The one-walk materialize equals sampling tick by tick, for every
+    horizon from empty to past the last segment."""
+    sequence = ModeSequence([("Off", 2), (0.0, 1), ("Idle", 3), (7, 2)],
+                            hold_last=hold_last)
+    for ticks in range(0, 12):
+        values = sequence.materialize(ticks)
+        assert values == [sequence.sample(tick) for tick in range(ticks)]
+        assert [type(value) for value in values] \
+            == [type(sequence.sample(tick)) for tick in range(ticks)]
+
+
 # -- seeded generators ------------------------------------------------------
 
 
