@@ -17,15 +17,17 @@ against the reference interpreter.  Only then is the >= 3x speedup
 asserted, on the best of interleaved rounds (a burst of load slows both
 sides), with every round's timing recorded as the spread.  A second,
 ungated measurement runs the Sec.-5 FDA battery on the batch, flat and
-native backends after byte-comparing their traces.  Tick rates land in
-``BENCH_batch_ir.json`` and ``BENCH_batch_ir_fda.json`` for the CI
-artifact trail (mirroring ``BENCH_flatten.json``).
+native backends after byte-comparing their traces; a third runs the
+door-lock control -- a model batch vectorizes nothing of -- on batch and
+flat.  Tick rates land in ``BENCH_batch_ir.json``,
+``BENCH_batch_ir_fda.json`` and ``BENCH_batch_ir_door_lock.json`` for the
+CI artifact trail (mirroring ``BENCH_flatten.json``).
 """
 
 import random
 
 from repro import obs
-from repro.casestudy import build_reengineered_fda
+from repro.casestudy import build_door_lock_control, build_reengineered_fda
 from repro.core.components import ExpressionComponent
 from repro.io import trace_to_json
 from repro.notations.dfd import DataFlowDiagram
@@ -50,6 +52,11 @@ FDA_INPUTS = {"n": (0.0, 6500.0, 250.0), "ped": (0.0, 100.0, 8.0),
               "t_eng": (-20.0, 120.0, 3.0), "pos": (0.0, 90.0, 4.0),
               "pos_des": (0.0, 90.0, 4.0),
               "throttle_angle": (0.0, 90.0, 4.0)}
+
+
+#: The door-lock battery: random lock, crash and speed inputs.
+DOOR_LOCK_SCENARIOS = 256
+DOOR_LOCK_TICKS = 60
 
 
 def expression_chain(width: int = WIDTH) -> DataFlowDiagram:
@@ -93,6 +100,19 @@ def fda_battery(scenarios: int = FDA_SCENARIOS, ticks: int = FDA_TICKS,
                                low=low, high=high)
               for port, (low, high, step) in FDA_INPUTS.items()}, ticks)
             for index in range(scenarios)]
+
+
+def door_lock_battery(scenarios: int = DOOR_LOCK_SCENARIOS,
+                      ticks: int = DOOR_LOCK_TICKS, seed: int = 3):
+    rng = random.Random(seed)
+    return [(f"door{index}", {
+        "T4S": [rng.choice(["locked", "unlocked"]) for _ in range(ticks)],
+        "CRSH": [rng.choice(["no_crash"] * 9 + ["crash"])
+                 for _ in range(ticks)],
+        "FZG_V": [12.0] * ticks,
+        "V_SPEED": [rng.choice([0.0, 5.0, 20.0, 50.0])
+                    for _ in range(ticks)]}, ticks)
+        for index in range(scenarios)]
 
 
 def test_p7_batch_ir_vs_per_scenario_flat_gate():
@@ -215,5 +235,43 @@ def test_p7_fda_battery_on_batch_flat_and_native():
     report("P7", "\n".join(
         [f"FDA battery, {FDA_SCENARIOS} scenarios x {FDA_TICKS} ticks "
          f"(best of 3 interleaved rounds, no gate):"]
+        + [f"  {backend:>6}: {rate:,.0f} scenario-ticks/s"
+           for backend, rate in rates.items()] + [f"  -> {path}"]))
+
+
+def test_p7_door_lock_battery_with_nothing_vectorized():
+    """Recorded, not gated: the door-lock control lowers no op (enum-typed
+    guards and outputs), so batch runs each lane through the flat
+    schedule's whole-horizon loop; traces are byte-compared with flat
+    per scenario first."""
+    model = build_door_lock_control()
+    items = door_lock_battery()
+    batch = compile_batch(model)
+    flat = CompiledSimulator(model, backend="flat")
+    runners = {
+        "batch": lambda: batch.run_battery(items),
+        "flat": lambda: [flat.run(stimuli, ticks)
+                         for _, stimuli, ticks in items]}
+    assert not batch.vectorized_ops
+    assert [trace_to_json(outcome.trace) for outcome in runners["batch"]()] \
+        == [trace_to_json(trace) for trace in runners["flat"]()]
+
+    samples = time_interleaved(runners, rounds=3)
+    total_ticks = DOOR_LOCK_SCENARIOS * DOOR_LOCK_TICKS
+    rates = {backend: total_ticks / min(seconds)
+             for backend, seconds in samples.items()}
+    path = write_bench_json("batch_ir_door_lock", {
+        "workload": {"model": model.name, "scenarios": DOOR_LOCK_SCENARIOS,
+                     "ticks_per_scenario": DOOR_LOCK_TICKS,
+                     "vectorized_ops": batch.vectorized_ops,
+                     "flat_ops": len(batch.flat.program)},
+        "seconds": {backend: spread(seconds)
+                    for backend, seconds in samples.items()},
+        "scenario_ticks_per_second": rates,
+    })
+    report("P7", "\n".join(
+        [f"door-lock battery, {DOOR_LOCK_SCENARIOS} scenarios x "
+         f"{DOOR_LOCK_TICKS} ticks, nothing vectorized (best of 3 "
+         f"interleaved rounds, no gate):"]
         + [f"  {backend:>6}: {rate:,.0f} scenario-ticks/s"
            for backend, rate in rates.items()] + [f"  -> {path}"]))

@@ -13,8 +13,9 @@ Two consumers, two fidelity levels:
   sequence* over tagged values (ABSENT / int64 / double / bool / opaque
   object) that replicates the Python semantics **exactly** or jumps to a
   caller-supplied bail label, where the caller re-runs the op through the
-  original Python closures.  Expressions it cannot lower at all raise
-  :class:`~repro.core.errors.CodeGenError` at emission time.
+  original Python closures.  Which expressions it lowers at all is
+  decided by :func:`lowers` alone; it raises
+  :class:`~repro.core.errors.CodeGenError` for the others.
 
 Both read the operator table :mod:`repro.core.ops`: a row's
 :attr:`~repro.core.ops.Operator.c` is its deployed spelling and its
@@ -143,11 +144,12 @@ def lowers(node: Expression, names: Collection[str],
     environment binding *names* with the evaluator functions *functions*
     -- decided from the AST alone, without emitting C.
 
-    The rule is the emitter's: every operator and call has a row with a
-    tagged template of its arity and no custom function shadows a called
-    built-in, every literal is an int64, a double or a bool, and every
-    variable is bound.  The batch backend vectorizes exactly the
-    expressions this accepts (:mod:`repro.simulation.lanes`).
+    This is the one place the rule lives: every operator and call has a
+    row with a tagged template of its arity and no custom function
+    shadows a called built-in, every literal is an int64, a double or a
+    bool, and every variable is bound.  The emitter checks it once per
+    expression and the batch backend vectorizes exactly the expressions
+    it accepts (:mod:`repro.simulation.lanes`).
     """
     table = function_table(functions)
 
@@ -207,11 +209,9 @@ class TaggedEmitter:
     ahead of :attr:`lines` in the enclosing block.  Eager templates are
     calls of static helper functions collected in :attr:`helpers`, which
     the caller places once per translation unit ahead of the code using
-    them (:meth:`_helper`).  It raises
-    :class:`~repro.core.errors.CodeGenError` for anything it cannot lower
-    exactly: an operator or built-in without a tagged template, a wrong
-    arity, a shadowed built-in, a literal outside int64/double/bool or a
-    name *inputs* does not bind.
+    them (:meth:`_helper`).  :meth:`emit` and :meth:`emit_block` raise
+    :class:`~repro.core.errors.CodeGenError` for an expression
+    :func:`lowers` rejects over the names *inputs* binds.
     """
 
     def __init__(self, inputs: Mapping[str, str], bail_label: str,
@@ -263,24 +263,32 @@ class TaggedEmitter:
         return (f"{value} > {_EXACT_DOUBLE}LL || "
                 f"{value} < -{_EXACT_DOUBLE}LL")
 
+    def emit(self, node: Expression) -> str:
+        """Emit *node*; returns the lvalue holding its tagged result."""
+        self._check(node)
+        return self._emit(node)
+
     def emit_block(self, node: Expression) -> Tuple[str, List[str]]:
         """Emit *node* into a detached statement list (lazy evaluation)."""
+        self._check(node)
+        return self._emit_block(node)
+
+    def _check(self, node: Expression) -> None:
+        if not lowers(node, self.inputs, self.functions):
+            raise CodeGenError(
+                f"cannot lower {node.to_source()} to tagged C")
+
+    def _emit_block(self, node: Expression) -> Tuple[str, List[str]]:
         saved = self.lines
         self.lines = []
-        prefix = self.emit(node)
+        prefix = self._emit(node)
         block = self.lines
         self.lines = saved
         return prefix, block
 
-    def _operands(self, row: Operator, operands: Sequence[Expression],
-                  count: int) -> List[str]:
-        """Emit *count* eager operands, then the result temp."""
-        if len(operands) != count:
-            raise CodeGenError(
-                f"cannot lower {row.symbol!r} with {len(operands)} "
-                f"operand(s); its tagged template takes {count}")
-        prefixes = [self.emit(operand) for operand in operands]
-        return prefixes + [self._temp()]
+    def _operands(self, operands: Sequence[Expression]) -> List[str]:
+        """Emit the eager operands, then the result temp."""
+        return [self._emit(operand) for operand in operands] + [self._temp()]
 
     @staticmethod
     def _absent_or_bail(*prefixes: str) -> List[str]:
@@ -295,8 +303,12 @@ class TaggedEmitter:
         ]
 
     # -- emission ----------------------------------------------------------
+    #
+    # ``_emit`` lowers a node :func:`lowers` accepted, so it meets only
+    # bound names, lowerable literals and rows with a template of their
+    # arity.
 
-    def emit(self, node: Expression) -> str:
+    def _emit(self, node: Expression) -> str:
         out = self.lines
         bail = self.bail
 
@@ -305,24 +317,16 @@ class TaggedEmitter:
             r = self._temp()
             if type(value) is bool:
                 out.append(f"{r}.t = 3; {r}.i = {1 if value else 0};")
-            elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+            elif type(value) is int:
                 literal = (_C_INT64_MIN if value == _INT64_MIN
                            else f"{value}LL")
                 out.append(f"{r}.t = 1; {r}.i = {literal};")
-            elif type(value) is float:
-                out.append(f"{r}.t = 2; {r}.f = {c_double_literal(value)};")
             else:
-                raise CodeGenError(
-                    f"cannot lower literal {value!r} to tagged C")
+                out.append(f"{r}.t = 2; {r}.f = {c_double_literal(value)};")
             return r
 
         if isinstance(node, Variable):
-            try:
-                return self.inputs[node.name]
-            except KeyError:
-                raise CodeGenError(
-                    f"variable {node.name!r} not in the op environment"
-                    ) from None
+            return self.inputs[node.name]
 
         if isinstance(node, Present):
             r = self._temp()
@@ -335,18 +339,17 @@ class TaggedEmitter:
             return r
 
         if isinstance(node, UnaryOp):
-            return self._lower(UNARY_OPERATORS.get(node.op), node.op,
-                               (node.operand,))
+            return self._lower(UNARY_OPERATORS[node.op], (node.operand,))
 
         if isinstance(node, BinaryOp):
-            return self._lower(BINARY_OPERATORS.get(node.op), node.op,
+            return self._lower(BINARY_OPERATORS[node.op],
                                (node.left, node.right))
 
         if isinstance(node, Conditional):
-            c = self.emit(node.condition)
+            c = self._emit(node.condition)
             r = self._temp()
-            tp, tblock = self.emit_block(node.then_branch)
-            ep, eblock = self.emit_block(node.else_branch)
+            tp, tblock = self._emit_block(node.then_branch)
+            ep, eblock = self._emit_block(node.else_branch)
             out.append(f"if ({c}.t == 0) {{ {r}.t = 0; }}")
             out.append(f"else if ({c}.t == 4) goto {bail};")
             out.append(f"else if ({self.truthy(c)}) {{")
@@ -358,16 +361,7 @@ class TaggedEmitter:
             out.append("}")
             return r
 
-        if isinstance(node, Call):
-            row = FUNCTIONS.get(node.function)
-            if row is not None \
-                    and self.functions.get(node.function) is not row.apply:
-                raise CodeGenError(
-                    f"built-in {node.function!r} is shadowed by a custom "
-                    f"function")
-            return self._lower(row, node.function, node.arguments)
-
-        raise CodeGenError(f"cannot lower expression node {node!r}")
+        return self._lower(FUNCTIONS[node.function], node.arguments)
 
     @classmethod
     def arity(cls, row: Operator) -> int:
@@ -382,18 +376,14 @@ class TaggedEmitter:
                 inspect.signature(body).parameters) - 3 - len(parameters)
         return count
 
-    def _lower(self, row: Optional[Operator], symbol: str,
-               operands: Sequence[Expression]) -> str:
-        if row is None or not row.lowering:
-            raise CodeGenError(f"no tagged C template for {symbol!r}")
+    def _lower(self, row: Operator, operands: Sequence[Expression]) -> str:
         template, *parameters = row.lowering
         if not hasattr(self, f"_body_{template}"):  # lazy, emitted inline
             return getattr(self, f"_lower_{template}")(row, operands,
                                                        *parameters)
         # eager: every operand is evaluated first
-        count = self.arity(row)
-        *arguments, r = self._operands(row, operands, count)
-        name = self._helper(row, template, parameters, count)
+        *arguments, r = self._operands(operands)
+        name = self._helper(row, template, parameters, len(arguments))
         pointers = ", ".join(f"&{p}" for p in arguments)
         self.lines.append(f"if ({name}(&{r}, {pointers})) goto {self.bail};")
         return r
@@ -462,9 +452,9 @@ class TaggedEmitter:
         left, right = operands
         out = self.lines
         bail = self.bail
-        x = self.emit(left)
+        x = self._emit(left)
         r = self._temp()
-        yp, yblock = self.emit_block(right)
+        yp, yblock = self._emit_block(right)
         test = self.truthy(x) if row.settles else f"!{self.truthy(x)}"
         out.append(f"if ({x}.t == 0) {{ {r}.t = 0; }}")
         out.append(f"else if ({x}.t == 4) goto {bail};")

@@ -37,10 +37,19 @@ over; :func:`~repro.simulation.schedule_ir.run_kernels` drives them):
   ``react`` components, subtrees a correction barrier re-runs) and
   correction barriers run their scalar kernels per active lane.
 
-A scalar kernel runs a lane over a plain list of that lane's Python
-values: the slots the op reads are decoded for all its lanes at once and
-the slots it writes are encoded back at once; leaf states, delayed
-buffers and scratch entries are reached through views of the lane.
+Ops batch does not vectorize run per lane in **spans**: each maximal
+stretch of them -- leaf steps, ops that do not lower, and the copies,
+gates and whole switches between them -- is one kernel that runs the
+flat scalar kernels of the stretch on each lane in one pass.  A lane runs
+over plain lists of its Python values: the slots and buffers the span
+reads are decoded for all lanes at once, and the ones it writes that
+later ops or the outputs read are encoded back at once; leaf states and
+scratch entries are reached through views of the lane.  (The op-profiled
+sweep keeps one kernel per op, so each op's time stays its own.)  A
+program with no vectorized op at all has nothing to sweep: its lanes run
+one by one through the flat schedule's whole-horizon loop
+(:meth:`~repro.simulation.schedule_ir.FlatSchedule.run_horizon`) unless
+the battery is type-checked or op-profiled.
 
 **Active masks.**  Scenarios of unequal length share one sweep: a lane is
 active while ``tick < its horizon``; finished and failed lanes simply drop
@@ -65,7 +74,8 @@ from __future__ import annotations
 import time
 import traceback
 from itertools import chain
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Collection, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -79,7 +89,8 @@ from .lanes import (TAG_ABSENT, TAG_INT, TAG_OBJ, LaneView, ObjectTable,
                     guard_outcome)
 from .native.emit import expr_op_lowers, mode_op_lowers
 from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
-                          OP_EXPR, OP_MODE, OP_RUN, OP_SWITCH,
+                          OP_EXPR, OP_GATE, OP_JUMP, OP_MODE, OP_RUN,
+                          OP_SWITCH,
                           SCALAR_KERNELS, FlatSchedule, FlatState, Frame,
                           Kernel, profiled_kernels, profiled_ticks,
                           run_kernels, switch_regions)
@@ -207,66 +218,153 @@ class LaneFrame(Frame):
 
     def lane(self, lane: int) -> Frame:
         """The frame a scalar kernel runs *lane* with: views of the lane's
-        states, buffers and scratch.  The sweep keeps those containers for
-        all its ticks, so a lane's frame is built once per sweep."""
+        states and scratch -- the sweep keeps those containers for all its
+        ticks, so a lane's frame is built once per sweep.  Its buffers are
+        the caller's to set: lists of the lane's decoded buffer values."""
         frame = self._lanes.get(lane)
         if frame is None:
-            objects = self.objects
             frame = self._lanes[lane] = Frame(
                 None, self.tick, _LaneRows(self.prev_states, lane),
-                _LaneRows(self.next_states, lane),
-                LaneView(self.prev_buffers, lane, objects),
-                LaneView(self.next_buffers, lane, objects),
+                _LaneRows(self.next_states, lane), None, None,
                 _LaneRows(self.scratch, lane))
         frame.tick = self.tick
         return frame
 
 
+def _reads(op: Tuple[Any, ...]) -> Tuple[List[int], List[int], List[int]]:
+    """The slots, tick-start buffers and next buffers the op *op* may
+    read."""
+    code = op[0]
+    if code == OP_RUN:
+        return ([slot for _name, slot in op[3]]
+                + [src for src, _dst in op[5]], [], [])
+    if code == OP_EXPR:
+        return ([slot for _name, slot in op[2]]
+                + [src for src, _dst in op[4]], [], [])
+    if code == OP_MODE:
+        return [slot for _name, slot in op[2]], [op[4]], []
+    if code == OP_CORRECT:
+        return [slot for entry in op[1] for _name, slot in entry[3]], [], []
+    if code in (OP_COPY, OP_BUF_WRITE):
+        return [src for src, _dst in op[1]], [], []
+    if code == OP_BUF_READ:
+        return [], [index for index, _dst in op[1]], []
+    if code == OP_SWITCH:
+        return [], [], [op[1]]
+    return [], [], []
+
+
+def _decoded(plane: np.ndarray, rows: List[int], indices: np.ndarray,
+             objects: ObjectTable) -> List[List[Any]]:
+    """Per lane of *indices*, the Python values of the *rows* of
+    *plane*."""
+    return decode_rows(plane[rows, 0][:, indices], plane[rows, 1][:, indices],
+                       objects).T.tolist()
+
+
+def _encode(plane: np.ndarray, rows: List[int], indices: np.ndarray,
+            lists: List[List[Any]], objects: ObjectTable) -> None:
+    """Store the *rows* of the lanes' lists *lists* into the lanes
+    *indices* of *plane*, in one bulk encode."""
+    if not rows:
+        return
+    tags, payloads = encode_values(
+        [lane_values[row] for row in rows for lane_values in lists], objects)
+    block = np.array(rows)[:, None], indices[None, :]
+    plane[block[0], 0, block[1]] = tags.reshape(len(rows), len(indices))
+    plane[block[0], 1, block[1]] = payloads.reshape(len(rows), len(indices))
+
+
 class _PerLane:
-    """One op run through its scalar kernel lane by lane.
+    """A span of flat ops run through their scalar kernels lane by lane:
+    one op whose flagged lanes fall back, or a whole stretch of ops batch
+    does not vectorize (see :func:`_scalar_spans`), whose writes go back
+    to the plane only when the slots in *live* -- the ones other ops or
+    the outputs read -- hold them.
 
-    Each lane runs over a plain list of Python values: the slots the op
-    reads are decoded into it for all the lanes at once, and the slots it
-    writes are encoded back from the lanes' lists at once -- so per lane
-    only the scalar kernel itself runs.  ``expr`` ops touch no frame; the
-    others get the lane's frame (:meth:`LaneFrame.lane`)."""
+    Each lane runs the span over plain lists of Python values -- its
+    slots, tick-start buffers and next buffers.  The rows the span may
+    read or write are decoded into them for all the lanes at once, and
+    the ones it may write are encoded back from them at once (a row a
+    lane's path leaves unwritten goes back unchanged), so per lane only
+    the scalar kernels run, jumps included.  Leaf states and scratch
+    entries are reached through the lane's frame (:meth:`LaneFrame.lane`).
+    Every ``expr`` or ``mode`` op a lane runs counts as one lane
+    fallback."""
 
-    __slots__ = ("kernel", "reads", "writes", "framed")
+    __slots__ = ("kernels", "start", "stop", "slots", "prev", "next",
+                 "writes", "buffer_writes", "tallied", "straight")
 
-    def __init__(self, op: Tuple[Any, ...]):
-        code = op[0]
-        self.kernel = SCALAR_KERNELS[code](op)
-        if code == OP_CORRECT:
-            slots = [slot for entry in op[1] for _name, slot in entry[3]]
-        else:
-            slots = [slot for _name, slot in op[3 if code == OP_RUN else 2]]
-        if code in (OP_RUN, OP_EXPR):
-            slots += [src for src, _dst in op[5 if code == OP_RUN else 4]]
-        self.reads = sorted(set(slots))
-        self.writes = _region_writes((op,), 0, 1)[0]
-        self.framed = code != OP_EXPR
+    def __init__(self, ops: Sequence[Tuple[Any, ...]], start: int = 0,
+                 live: Optional[Collection[int]] = None):
+        #: the ops' scalar kernels; ``kernels[pc - start]`` runs op *pc*
+        self.kernels = [SCALAR_KERNELS[op[0]](op) for op in ops]
+        self.start, self.stop = start, start + len(ops)
+        self.writes, self.buffer_writes = _region_writes(ops, 0, len(ops))
+        if live is not None:  # only the slots read after the span
+            self.writes = [slot for slot in self.writes if slot in live]
+        reads = [_reads(op) for op in ops]
+        self.slots = sorted({slot for slots, _prev, _next in reads
+                             for slot in slots} | set(self.writes))
+        self.prev = sorted({index for _slots, prev, _next in reads
+                            for index in prev})
+        self.next = sorted({index for _slots, _prev, following in reads
+                            for index in following}
+                           | set(self.buffer_writes))
+        self.tallied = frozenset(start + offset for offset, op
+                                 in enumerate(ops)
+                                 if op[0] in (OP_EXPR, OP_MODE))
+        #: no op of the span can jump: every lane runs all of them
+        self.straight = not any(op[0] in (OP_GATE, OP_SWITCH, OP_JUMP)
+                                for op in ops)
 
     def __call__(self, values: np.ndarray, frame: LaneFrame,
                  lanes: np.ndarray) -> None:
         """Run the lanes of the mask *lanes*."""
         indices = np.flatnonzero(lanes)
         objects = frame.objects
-        reads, kernel = self.reads, self.kernel
-        rows = decode_rows(values[reads, 0][:, indices],
-                           values[reads, 1][:, indices], objects).T.tolist()
+        kernels, tallied = self.kernels, self.tallied
+        start, stop = self.start, self.stop
+        slots, prev, following = self.slots, self.prev, self.next
         blank = [ABSENT] * len(values)
+        blank_buffers = [None] * len(frame.next_buffers) \
+            if prev or following else None
         lists = []
-        for lane, row in zip(indices.tolist(), rows):
+        buffer_lists = []
+        straight = self.straight
+        if straight:  # counted first: a lane may raise
+            frame.fallbacks += len(indices) * len(tallied)
+        for lane, row, prev_row, next_row in zip(
+                indices.tolist(),
+                _decoded(values, slots, indices, objects),
+                _decoded(frame.prev_buffers, prev, indices, objects),
+                _decoded(frame.next_buffers, following, indices, objects)):
             lane_values = blank[:]
-            for slot, value in zip(reads, row):
+            for slot, value in zip(slots, row):
                 lane_values[slot] = value
-            kernel(lane_values, frame.lane(lane) if self.framed else None)
+            lane_frame = frame.lane(lane)
+            if blank_buffers is not None:
+                lane_frame.prev_buffers = lane_prev = blank_buffers[:]
+                for index, value in zip(prev, prev_row):
+                    lane_prev[index] = value
+                lane_frame.next_buffers = lane_next = blank_buffers[:]
+                for index, value in zip(following, next_row):
+                    lane_next[index] = value
+                buffer_lists.append(lane_next)
+            if straight:
+                for kernel in kernels:
+                    kernel(lane_values, lane_frame)
+            else:
+                pc = start
+                while pc < stop:
+                    if pc in tallied:
+                        frame.fallbacks += 1
+                    jump = kernels[pc - start](lane_values, lane_frame)
+                    pc = pc + 1 if jump is None else jump
             lists.append(lane_values)
-        for slot in self.writes:
-            tags, payloads = encode_values(
-                [lane_values[slot] for lane_values in lists], objects)
-            values[slot, 0, indices] = tags
-            values[slot, 1, indices] = payloads
+        _encode(values, self.writes, indices, lists, objects)
+        _encode(frame.next_buffers, self.buffer_writes, indices, buffer_lists,
+                objects)
 
 
 # -- lane kernels ----------------------------------------------------------------
@@ -274,7 +372,7 @@ class _PerLane:
 
 def _per_lane_kernel(op: Tuple[Any, ...]) -> Kernel:
     """``run`` / ``correct``: the scalar kernel on every active lane."""
-    per_lane = _PerLane(op)
+    per_lane = _PerLane((op,))
 
     def run_lanes(values: np.ndarray, frame: LaneFrame) -> None:
         per_lane(values, frame, frame.active)
@@ -282,18 +380,28 @@ def _per_lane_kernel(op: Tuple[Any, ...]) -> Kernel:
     return run_lanes
 
 
+def _span_kernel(per_lane: _PerLane) -> Kernel:
+    """A span of ops run per lane in one pass, then a jump past it."""
+    stop = per_lane.stop
+
+    def span(values: np.ndarray, frame: LaneFrame) -> int:
+        per_lane(values, frame, frame.active)
+        return stop
+
+    return span
+
+
 def _fallback(per_lane: _PerLane, values: np.ndarray, frame: LaneFrame,
               lanes: Any) -> None:
     """Re-run an op through its scalar kernel on the lanes of the mask
     *lanes* (None: no lane)."""
     if lanes is not None and lanes.any():
-        frame.fallbacks += int(np.count_nonzero(lanes))
         per_lane(values, frame, lanes)
 
 
 def _lane_expr_kernel(op: Tuple[Any, ...]) -> Kernel:
     _, _leaf, in_spec, _items, post, lane_items = op
-    scalar = _PerLane(op[:5])
+    scalar = _PerLane((op[:5],))
     if lane_items is None:
         def expr_per_lane(values: np.ndarray, frame: LaneFrame) -> None:
             _fallback(scalar, values, frame, frame.active)
@@ -320,7 +428,7 @@ def _lane_expr_kernel(op: Tuple[Any, ...]) -> Kernel:
 def _lane_mode_kernel(op: Tuple[Any, ...]) -> Kernel:
     _, _machine, in_spec, _table, buf, mode_slot, _names, lane_table, base \
         = op
-    scalar = _PerLane(op[:7])
+    scalar = _PerLane((op[:7],))
     if lane_table is None:
         def mode_per_lane(values: np.ndarray, frame: LaneFrame) -> None:
             _fallback(scalar, values, frame, frame.active)
@@ -412,6 +520,64 @@ def _lane_switch_kernel(op: Tuple[Any, ...]) -> Kernel:
     return switch
 
 
+#: Ops that move whole slot blocks (for every lane at once): a span of
+#: per-lane ops does not start or end with them.
+_MOVES = (OP_COPY, OP_BUF_READ, OP_BUF_WRITE)
+#: Ops with work to run per lane.
+_PER_LANE_WORK = (OP_RUN, OP_CORRECT, OP_EXPR, OP_MODE)
+
+
+def _scalar_spans(program: Sequence[Tuple[Any, ...]],
+                  vectorized: Collection[int]) -> List[Tuple[int, int]]:
+    """The ``(start, stop)`` spans of *program* batch runs per lane in one
+    pass: at every nesting level, each maximal run of whole items -- an
+    op, or a gate or switch with all its regions -- that holds no op of
+    *vectorized* but some per-lane work, trimmed of leading and trailing
+    slot moves.  A span holds every jump its ops can take, and no jump
+    from outside lands inside it.  A gate or switch whose regions hold a
+    vectorized op stays a lane kernel; its regions are levels of their
+    own."""
+    # vectorized ops before each index: an item [pc, end) holds one iff
+    # the counts differ
+    before = [0]
+    for index in range(len(program)):
+        before.append(before[-1] + (index in vectorized))
+    spans: List[Tuple[int, int]] = []
+    levels = [(0, len(program))]
+    while levels:
+        pc, stop = levels.pop()
+        items: List[int] = []  # the current run: item boundaries
+        while True:
+            end = stop
+            if pc < stop:
+                op = program[pc]
+                end = op[2] if op[0] == OP_GATE else \
+                    op[3] if op[0] == OP_SWITCH else pc + 1
+                if before[end] == before[pc]:
+                    items.append(pc)
+                    pc = end
+                    continue
+            # the run ends here: trim its moves, keep it if it has work
+            while items and program[items[0]][0] in _MOVES:
+                items.pop(0)
+            last = pc
+            while items and program[items[-1]][0] in _MOVES:
+                last = items.pop()
+            if items and any(op[0] in _PER_LANE_WORK
+                             for op in program[items[0]:last]):
+                spans.append((items[0], last))
+            items = []
+            if pc >= stop:
+                break
+            if op[0] == OP_GATE:
+                levels.append((pc + 1, end))
+            elif op[0] == OP_SWITCH:
+                levels.extend((first, region_stop) for _mode, first,
+                              region_stop in switch_regions(program, pc))
+            pc = end
+    return sorted(spans)
+
+
 #: Opcode -> kernel factory for the tagged plane: copy / buffer / gate /
 #: jump kernels move whole slot blocks (or jump for every lane), so the
 #: scalar ones serve unchanged.
@@ -438,7 +604,24 @@ class BatchSchedule:
                         component=flat.component.name,
                         ops=len(flat.program)):
             self._program = self._lower(flat)
+            # the plain table runs each scalar span in one per-lane pass;
+            # the op-profiled one keeps one kernel per op
             self._kernels = [LANE_KERNELS[op[0]](op) for op in self._program]
+            #: ``(start, stop)`` of each span of ops run per lane in one pass
+            self.scalar_spans = _scalar_spans(flat.program,
+                                              set(self.vectorized_ops))
+            readers: Dict[int, List[int]] = {}
+            for index, op in enumerate(flat.program
+                                       if self.scalar_spans else ()):
+                for slot in _reads(op)[0]:
+                    readers.setdefault(slot, []).append(index)
+            outputs = {slot for _name, slot in flat.output_spec}
+            for start, stop in self.scalar_spans:
+                live = outputs | {slot for slot, ops in readers.items()
+                                  if any(not start <= index < stop
+                                         for index in ops)}
+                self._kernels[start] = _span_kernel(
+                    _PerLane(flat.program[start:stop], start, live))
 
     def op_labels(self) -> List[Tuple[str, str, bool]]:
         """Op descriptors for :class:`repro.obs.profile.OpProfile` -- the
@@ -537,13 +720,49 @@ class BatchSchedule:
         the plain kernel table once and pays nothing per tick.
         """
         telemetry = _obs_active()
+        run = self._run_battery
+        if not self.vectorized_ops and not check_types and (
+                telemetry is None or not telemetry.profile_ops):
+            run = self._run_lane_major
         if telemetry is None:
-            return self._run_battery(items, check_types, collect_modes, None)
+            return run(items, check_types, collect_modes, None)
         with telemetry.tracer.span("batch.sweep",
                                    component=self.component.name,
                                    lanes=len(items)):
-            return self._run_battery(items, check_types, collect_modes,
-                                     telemetry)
+            return run(items, check_types, collect_modes, telemetry)
+
+    def _run_lane_major(self, items: Sequence[BatteryItem],
+                        check_types: bool, collect_modes: bool,
+                        telemetry: Optional[Any]) -> List[LaneOutcome]:
+        """Run each item over its whole horizon through
+        :meth:`FlatSchedule.run_horizon
+        <repro.simulation.schedule_ir.FlatSchedule.run_horizon>`: with no
+        vectorized op every op would run per lane, and a tick-major sweep
+        would only add the plane's decode and encode to the flat loop.
+        Traces, errors and mode histories are the sweep's (both equal the
+        scalar engines'); type-checked and op-profiled batteries sweep."""
+        started = time.perf_counter()
+        outcomes: List[LaneOutcome] = []
+        for name, stimuli, ticks in items:
+            histories: Optional[Dict[str, List[Any]]] = \
+                {} if collect_modes else None
+            try:
+                trace = self.flat.run_horizon(stimuli, ticks, histories)
+            except Exception as exc:  # noqa: BLE001 - per-lane isolation
+                error, exception = _capture(exc)
+                outcomes.append(LaneOutcome(name, error=error,
+                                            exception=exception))
+            else:
+                outcomes.append(LaneOutcome(name, trace=trace,
+                                            mode_paths=histories))
+        if telemetry is not None:
+            registry = telemetry.registry
+            registry.counter("batch.sweeps").inc()
+            registry.counter("batch.lanes").inc(len(items))
+            registry.counter("batch.lane_major").inc(len(items))
+            registry.histogram("batch.sweep.duration_s").observe(
+                time.perf_counter() - started)
+        return outcomes
 
     def _input_check(self) -> Callable[[int, int, Any], None]:
         """The ``check`` of :func:`draw_stimuli` for type-checked runs:

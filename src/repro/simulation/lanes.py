@@ -110,15 +110,20 @@ LaneExpression = Callable[[Mapping[str, np.ndarray], np.ndarray],
 class ObjectTable(list):
     """The side table of opaque values, indexed by their payloads.  An
     object is entered once (by identity), however often it is stored, so
-    enum members and mode names moved every tick do not grow it."""
+    enum members and mode names moved every tick do not grow it.
+
+    The *seed* objects sit at indexes ``0 .. len(seed) - 1`` exactly as
+    given, duplicates included, so a caller may address them by position
+    (the batch backend's mode names: two machines may share name
+    objects); entering one of them again finds its first position."""
 
     __slots__ = ("_index",)
 
-    def __init__(self, objects: Sequence[Any] = ()):
-        super().__init__()
+    def __init__(self, seed: Sequence[Any] = ()):
+        super().__init__(seed)
         self._index: Dict[int, int] = {}
-        for value in objects:
-            self.enter(value)
+        for index, value in enumerate(seed):
+            self._index.setdefault(id(value), index)
 
     def enter(self, value: Any) -> int:
         """The index of *value*, entered on first use."""
@@ -220,10 +225,12 @@ def decode_rows(tags: np.ndarray, payloads: np.ndarray,
     out[tags == TAG_ABSENT] = ABSENT
     opaque = tags == TAG_OBJ
     if opaque.any():
-        table = np.empty(len(objects), dtype=object)
-        for index, value in enumerate(objects):
-            table[index] = value
-        out[opaque] = table[payloads[opaque].astype(np.intp)]
+        # element by element: a sequence-valued object must not broadcast
+        indexes = payloads[opaque].astype(np.intp).tolist()
+        picked = np.empty(len(indexes), dtype=object)
+        for position, index in enumerate(indexes):
+            picked[position] = objects[index]
+        out[opaque] = picked
     return out
 
 

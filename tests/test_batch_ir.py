@@ -25,6 +25,8 @@ from repro.simulation import (BatchSchedule, ClockGatedComponent,
                               CompiledSimulator, ScenarioSuite, Simulator,
                               compile_batch, compile_flat, first_difference)
 from repro.core.types import INT
+from repro.simulation.schedule_ir import (OP_BUF_READ, OP_BUF_WRITE,
+                                          OP_COPY, OP_MODE)
 
 
 # -- models --------------------------------------------------------------------
@@ -593,3 +595,150 @@ def test_int_zero_results_add_like_python_zero():
                 outcomes[0].trace.outputs[name].values()] \
             == [repr(value) for value in expected.outputs[name].values()] \
             == ["0.0", "0.0"], name
+
+
+# -- mode names, per-lane spans, lane-major runs --------------------------------
+
+
+def twin_engine_modes():
+    """Two instances of the Fig.-6 MTD side by side, both ``mode`` ports
+    wired to outputs: the machines share their mode-name objects."""
+    from repro.casestudy.engine_control import build_engine_modes_mtd
+    dfd = DataFlowDiagram("TwinModes")
+    for port in ("n", "ped", "t_eng"):
+        dfd.add_input(port)
+    for name in ("Left", "Right"):
+        dfd.add_subcomponent(build_engine_modes_mtd(name))
+        for port in ("n", "ped", "t_eng"):
+            dfd.connect(port, f"{name}.{port}")
+        dfd.add_output(f"{name}_mode")
+        dfd.connect(f"{name}.mode", f"{name}_mode")
+    return dfd
+
+
+def test_machines_sharing_mode_names_write_their_own_modes():
+    """Both machines' ``mode`` ops run as tagged lanes and write mode
+    names as opaque lanes; the second machine's names must decode to its
+    own modes although the first one's are the same objects."""
+    from repro.io import trace_to_json
+    model = twin_engine_modes()
+    schedule = compile_batch(model)
+    modes = [index for index, op in enumerate(schedule.flat.program)
+             if op[0] == OP_MODE]
+    assert len(modes) == 2 and set(modes) <= set(schedule.vectorized_ops)
+    ramp = [0.0, 300.0, 800.0, 800.0, 1600.0, 2400.0, 3200.0, 800.0]
+    items = [(f"s{shift}", {"n": ramp[shift:] + ramp[:shift],
+                            "ped": [0.0, 0.0, 0.0, 20.0, 40.0, 90.0, 0.0,
+                                    0.0],
+                            "t_eng": [80.0] * 8, }, 8) for shift in range(4)]
+    scalar = CompiledSimulator(model, backend="flat")
+    for (name, stimuli, ticks), outcome in zip(
+            items, schedule.run_battery(items)):
+        expected = scalar.run(stimuli, ticks)
+        assert trace_to_json(outcome.trace) == trace_to_json(expected), name
+    assert "PartLoad" in expected.outputs["Right_mode"].values()
+
+
+def test_object_table_seed_keeps_positions_and_decodes_sequences():
+    from repro.simulation.lanes import (TAG_OBJ, ObjectTable, decode_rows,
+                                        encode_values)
+    shared = "Idle"
+    objects = ObjectTable([shared, "Off", shared])
+    assert list(objects) == [shared, "Off", shared]
+    assert objects.enter(shared) == 0 and objects.enter("new") == 3
+    # an opaque sequence decodes whole, never broadcast into the array
+    tags, payloads = encode_values([(1, 2), 5, (1, 2)], objects)
+    assert tags[0] == TAG_OBJ
+    assert decode_rows(tags, payloads, objects).tolist() == \
+        [(1, 2), 5, (1, 2)]
+
+
+def door_lock_battery(lanes=12, ticks=10):
+    import random
+    rng = random.Random(5)
+    return [(f"lane{index}", {
+        "T4S": [rng.choice(["locked", "unlocked"]) for _ in range(ticks)],
+        "CRSH": [rng.choice(["no_crash"] * 3 + ["crash"])
+                 for _ in range(ticks)],
+        "FZG_V": [12.0] * ticks,
+        "V_SPEED": [rng.choice([0.0, 5.0, 20.0, 50.0])
+                    for _ in range(ticks)]}, ticks - index % 3)
+        for index in range(lanes)]
+
+
+def test_programs_without_vectorized_ops_run_lane_major():
+    """The door-lock control lowers no op (enum-typed guards and
+    outputs): a battery runs each lane through the flat schedule's
+    whole-horizon loop.  Type-checked and op-profiled batteries sweep
+    instead, the whole program one per-lane span; all three match the
+    flat engine, mode histories included."""
+    from repro import obs
+    from repro.casestudy import build_door_lock_control
+    from repro.io import trace_to_json
+    model = build_door_lock_control()
+    schedule = compile_batch(model)
+    assert schedule.vectorized_ops == []
+    assert schedule.scalar_spans == [(0, len(schedule.flat.program))]
+    items = door_lock_battery()
+    scalar = CompiledSimulator(model, backend="flat")
+    expected = [trace_to_json(scalar.run(stimuli, ticks))
+                for _name, stimuli, ticks in items]
+    histories = []
+    for _name, stimuli, ticks in items:
+        histories.append({})
+        schedule.flat.run_horizon(stimuli, ticks, histories[-1])
+    with obs.session() as telemetry:
+        outcomes = schedule.run_battery(items, collect_modes=True)
+    assert telemetry.registry.counter("batch.lane_major").value == len(items)
+    assert [trace_to_json(outcome.trace) for outcome in outcomes] == expected
+    assert [outcome.mode_paths for outcome in outcomes] == histories
+    with obs.session(profile_ops=True) as telemetry:
+        profiled = schedule.run_battery(items)
+    counters = telemetry.registry.counter_values("batch.")
+    assert "batch.lane_major" not in counters
+    assert counters["batch.lane_fallbacks"] > 0
+    assert [trace_to_json(outcome.trace) for outcome in profiled] == expected
+    checked = schedule.run_battery(items, check_types=True)
+    assert [trace_to_json(outcome.trace) for outcome in checked] == expected
+    # the fused span on its own: a switch and its regions run per lane
+    with obs.session() as telemetry:
+        swept = schedule._run_battery(items, False, True,  # noqa: SLF001
+                                      telemetry)
+    assert [trace_to_json(outcome.trace) for outcome in swept] == expected
+    assert [outcome.mode_paths for outcome in swept] == histories
+    # one ``mode`` and one region's ``expr`` op per lane and tick
+    assert telemetry.registry.counter("batch.lane_fallbacks").value == \
+        2 * sum(ticks for _name, _stimuli, ticks in items)
+
+
+def test_leaf_stretches_run_per_lane_in_one_span():
+    """The closed loop's atomic blocks sit between vectorized expression
+    ops: each stretch of them is one per-lane span, and the battery
+    matches the flat engine with and without the op profile (which keeps
+    one kernel per op)."""
+    from repro import obs
+    from repro.casestudy import build_closed_loop
+    from repro.io import trace_to_json
+    from repro.scenarios import RandomWalk
+    model = build_closed_loop()
+    schedule = compile_batch(model)
+    assert schedule.vectorized_ops and schedule.scalar_spans
+    program = schedule.flat.program
+    for start, stop in schedule.scalar_spans:
+        assert not set(range(start, stop)) & set(schedule.vectorized_ops)
+        assert stop - start > 1
+        assert program[start][0] not in (OP_COPY, OP_BUF_READ,
+                                         OP_BUF_WRITE)
+    items = [(f"walk{index}",
+              {port: RandomWalk(index * 7 + offset, start=10.0, step=3.0,
+                                low=0.0, high=60.0)
+               for offset, port in enumerate(model.input_names())},
+              20 - index % 4) for index in range(10)]
+    scalar = CompiledSimulator(model, backend="flat")
+    expected = [trace_to_json(scalar.run(stimuli, ticks))
+                for _name, stimuli, ticks in items]
+    assert [trace_to_json(outcome.trace)
+            for outcome in schedule.run_battery(items)] == expected
+    with obs.session(profile_ops=True):
+        profiled = schedule.run_battery(items)
+    assert [trace_to_json(outcome.trace) for outcome in profiled] == expected

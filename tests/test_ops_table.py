@@ -301,8 +301,9 @@ LOWERING_CASES = [
 
 @pytest.mark.parametrize("shadowed", [False, True])
 def test_lowering_predicate_matches_the_emitter(shadowed):
-    """``lowers`` decides from the AST exactly what ``TaggedEmitter``
-    lowers -- the rule by which batch vectorizes what native lowers."""
+    """``lowers`` is the emitter's only rule -- the one by which batch
+    vectorizes what native lowers: the emitter rejects exactly what it
+    rejects, and emits every expression it accepts."""
     functions = {"custom": abs}
     if shadowed:
         functions["abs"] = lambda value: value
